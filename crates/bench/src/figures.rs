@@ -235,4 +235,36 @@ mod tests {
         let vmaf = report.row("VMAF").unwrap().change.pct_change;
         assert!(vmaf.abs() < 3.0, "vmaf change {vmaf}");
     }
+
+    /// Every other population harness runs end to end at tiny scale and
+    /// yields rows of finite statistics.
+    #[test]
+    fn tiny_figures_produce_finite_output() {
+        const SCALE: f64 = 0.08;
+        const SEED: u64 = 1;
+        for report in [table3(SCALE, SEED, 0), baseline_4x(SCALE, SEED, 0)] {
+            assert!(!report.rows.is_empty());
+            for row in &report.rows {
+                let c = &row.change;
+                assert!(
+                    c.control.is_finite() && c.treatment.is_finite(),
+                    "{}: {c:?}",
+                    row.name
+                );
+            }
+        }
+        let buckets = fig3(SCALE, SEED, 0);
+        assert!(!buckets.is_empty());
+        for (name, a, b, c) in buckets {
+            assert!(a.is_finite() && b.is_finite() && c.is_finite(), "{name}");
+        }
+        let sweep = fig5(SCALE, SEED, 0);
+        assert!(!sweep.is_empty());
+        for p in sweep {
+            assert!(p.tput_pct.is_finite() && p.vmaf_pct.is_finite(), "{p:?}");
+        }
+        let series = fig6(SCALE, SEED);
+        assert!(!series.is_empty());
+        assert!(series.iter().all(|v| v.is_finite()), "{series:?}");
+    }
 }

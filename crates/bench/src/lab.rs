@@ -741,4 +741,20 @@ mod tests {
         assert!(control > 12.0 && control < 28.0, "control {control}");
         assert!(sammy > control * 1.1, "sammy {sammy} vs control {control}");
     }
+
+    /// The Fig 4 burst sweep and the Fig 8c HTTP neighbor run end to end
+    /// on a 30 s lab and report finite values.
+    #[test]
+    fn burst_sweep_and_http_neighbor_are_finite() {
+        let cfg = LabConfig {
+            run_for: SimDuration::from_secs(30),
+            ..Default::default()
+        };
+        for burst in [4, 40] {
+            let retx = burst_sweep_point(burst, &cfg);
+            assert!(retx.is_finite() && retx >= 0.0, "burst {burst}: {retx}");
+        }
+        let http_ms = neighbor_http(LabArm::Sammy, &cfg);
+        assert!(http_ms.is_finite() && http_ms > 0.0, "http {http_ms}");
+    }
 }

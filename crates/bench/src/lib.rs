@@ -29,17 +29,15 @@
 //! The `figures` binary (`cargo run -p sammy-bench --bin figures --release`)
 //! regenerates all of them as aligned text tables and CSV files.
 //!
-//! [`perf`] is the perf-trajectory battery behind the `perf` binary: a
-//! fixed set of hot-path wall-clock measurements written to schema'd
-//! `BENCH_<n>.json` files ([`json`] is the offline reader/writer) and
-//! compared release over release.
+//! Performance is measured by one harness outside this crate: the repo
+//! benchmark in `e2e-bench/` (declared by `BENCHMARK.json`) times these
+//! harnesses end to end and per layer; a change is judged by running it
+//! on the change and on its parent, not against recorded numbers.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod figures;
-pub mod json;
 pub mod lab;
 pub mod matrix;
-pub mod perf;
 pub mod shared;

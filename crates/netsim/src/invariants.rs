@@ -27,6 +27,8 @@
 //! | `packet-store` | netsim | packet-store ids never double-allocated or double-freed |
 //! | `tcp-sender-sanity` | transport | `snd_una <= snd_nxt <= stream_end`, cwnd/inflight bounds |
 //! | `pacing-rate-bounds` | transport | configured pace is finite, positive, below the sanity cap |
+//! | `quic-sender-sanity` | transport | QUIC flow-control credit respected, cwnd at least one MSS |
+//! | `quic-retx-conservation` | transport | every QUIC byte declared lost is acked, queued for retransmission, or back in flight |
 //! | `player-buffer-conservation` | video | committed content = played + buffered, clock monotone |
 //! | `fluid-chunk-sane` | fluidsim | chunk model outputs finite/positive times, loss in `[0, 1]` |
 

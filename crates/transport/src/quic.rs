@@ -128,6 +128,10 @@ struct SendStream {
     acked_bytes: u64,
     /// Stream ranges queued for retransmission, sorted and disjoint.
     retx: Vec<(u64, u64)>,
+    /// Every stream range ever declared lost (validate feature), checked
+    /// by `quic-retx-conservation`.
+    #[cfg(feature = "validate")]
+    lost: Vec<(u64, u64)>,
     pace: Option<Rate>,
     queued_at: SimTime,
     started_at: Option<SimTime>,
@@ -226,6 +230,8 @@ impl QuicSender {
             acked: Vec::new(),
             acked_bytes: 0,
             retx: Vec::new(),
+            #[cfg(feature = "validate")]
+            lost: Vec::new(),
             pace,
             queued_at: now,
             started_at: None,
@@ -504,7 +510,9 @@ impl QuicSender {
 
     /// Sender sanity (validate feature): flight accounting never exceeds
     /// the flow-control credit plus retransmissions, cwnd stays above one
-    /// MSS, and any pace rate is physical.
+    /// MSS, any pace rate is physical, and no byte declared lost is
+    /// forgotten: each one is acknowledged, queued in `retx`, or back in
+    /// flight in a retransmission.
     #[cfg(feature = "validate")]
     fn check_invariants(&self) {
         netsim::invariant!(
@@ -528,11 +536,50 @@ impl QuicSender {
                 rate.bps()
             );
         }
+        for s in self.streams.iter().filter(|s| !s.lost.is_empty()) {
+            let mut covered = s.acked.clone();
+            for &(start, end) in &s.retx {
+                range_insert(&mut covered, start, end);
+            }
+            for sp in &self.sent {
+                if sp.stream == s.id && !sp.acked && !sp.lost {
+                    range_insert(&mut covered, sp.offset, sp.offset + sp.len as u64);
+                }
+            }
+            for &(start, end) in &s.lost {
+                let missing = range_subtract(&covered, start, end);
+                netsim::invariant!(
+                    "quic-retx-conservation",
+                    missing.is_empty(),
+                    "stream {} lost bytes {:?} neither acked, queued nor in flight",
+                    s.id,
+                    missing
+                );
+            }
+        }
     }
 
     #[cfg(not(feature = "validate"))]
     #[inline(always)]
     fn check_invariants(&self) {}
+
+    /// Mutant mode: drop the first queued retransmission range without
+    /// sending it, as a consume-before-pacer-gate bug would. Must trip
+    /// `quic-retx-conservation`.
+    ///
+    /// # Panics
+    /// Panics (as intended) via the invariant; also panics if no
+    /// retransmission is queued (declare a loss first).
+    #[cfg(feature = "validate")]
+    pub fn mutant_drop_retx(&mut self) {
+        let s = self
+            .streams
+            .iter_mut()
+            .find(|s| !s.retx.is_empty())
+            .expect("retx mutant needs a queued retransmission");
+        s.retx.remove(0);
+        self.check_invariants();
+    }
 
     /// Is there any frame we could send right now (ignoring pacing)?
     fn has_sendable_frame(&self) -> bool {
@@ -548,6 +595,9 @@ impl QuicSender {
     /// Choose the next frame: retransmissions first (oldest stream first),
     /// then fresh data in stream-open order, subject to cwnd and
     /// connection flow control. Returns (stream index, offset, len, retx).
+    /// Only peeks: `emit_frame` consumes a retransmission range once the
+    /// pacer has let its frame out, so a frame the pacer holds back is
+    /// offered again. Fully acknowledged retransmission ranges are pruned.
     fn next_frame(&mut self) -> Option<(usize, u64, u64, bool)> {
         // Retransmissions bypass the window (they replace bytes that left
         // the flight count), exactly as TCP's recovery retransmit does.
@@ -561,16 +611,7 @@ impl QuicSender {
                         s.retx.remove(0);
                         continue;
                     }
-                    Some(&(ps, pe)) => {
-                        let len = (pe - ps).min(MSS_BYTES);
-                        // Consume from the queue: drop the covered prefix.
-                        if ps + len >= end {
-                            s.retx.remove(0);
-                        } else {
-                            s.retx[0] = (ps + len, end);
-                        }
-                        return Some((i, ps, len, true));
-                    }
+                    Some(&(ps, pe)) => return Some((i, ps, (pe - ps).min(MSS_BYTES), true)),
                 }
             }
         }
@@ -608,7 +649,15 @@ impl QuicSender {
         if s.started_at.is_none() {
             s.started_at = Some(now);
         }
-        if !retx {
+        if retx {
+            // Consume the head retransmission range `next_frame` peeked.
+            let end = s.retx[0].1;
+            if offset + len >= end {
+                s.retx.remove(0);
+            } else {
+                s.retx[0] = (offset + len, end);
+            }
+        } else {
             debug_assert_eq!(offset, s.sent);
             s.sent += len;
             self.conn_sent += len;
@@ -654,6 +703,8 @@ impl QuicSender {
     /// minus anything the receiver has meanwhile acknowledged.
     fn queue_retransmission(&mut self, sp: SentPacket) {
         if let Some(s) = self.streams.iter_mut().find(|s| s.id == sp.stream) {
+            #[cfg(feature = "validate")]
+            range_insert(&mut s.lost, sp.offset, sp.offset + sp.len as u64);
             for (rs, re) in range_subtract(&s.acked, sp.offset, sp.offset + sp.len as u64) {
                 range_insert(&mut s.retx, rs, re);
             }

@@ -11,12 +11,13 @@
 
 use sammy_repro::netsim::invariants::{panic_message, violation_tag};
 use sammy_repro::netsim::{
-    Dumbbell, DumbbellConfig, FlowId, Packet, Payload, SimDuration, SimTime, Simulator,
+    Dumbbell, DumbbellConfig, FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime,
+    Simulator, MSS_BYTES,
 };
 use sammy_repro::sammy_bench::lab::{
     chaos_fluid_download, chaos_packet_download, chaos_profile, single_flow, LabArm, LabConfig,
 };
-use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
+use sammy_repro::transport::{QuicSender, ReceiverEndpoint, SenderEndpoint, TcpConfig};
 use sammy_repro::video::{FixedRung, Ladder, Player, PlayerConfig, Title, TitleConfig, VmafModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -129,6 +130,39 @@ fn negative_buffer_mutant_trips_player_conservation() {
     expect_violation("player-buffer-conservation", || {
         p.mutant_negative_buffer();
         p.advance_to(now + SimDuration::from_millis(1));
+    });
+}
+
+#[test]
+fn drop_retx_mutant_trips_quic_retx_conservation() {
+    // Five MSS paced at a trickle: the burst bucket lets four out, then an
+    // ACK of packet 3 alone declares packet 0 lost. The pacer holds the
+    // retransmission back, so its range sits queued in `retx`.
+    let cfg = TcpConfig {
+        max_burst_packets: 4,
+        ..Default::default()
+    };
+    let mut s = QuicSender::new(NodeId(0), NodeId(1), FlowId(1), cfg);
+    let mut out = Vec::new();
+    s.start_transfer(
+        SimTime::ZERO,
+        5 * MSS_BYTES,
+        Some(Rate::from_bps(100_000.0)),
+    );
+    s.pump(SimTime::ZERO, &mut out);
+    assert_eq!(out.len(), 4);
+    s.on_quic_ack(
+        SimTime::from_millis(10),
+        3,
+        SimTime::ZERO,
+        &[(3, 4), (0, 0), (0, 0)],
+        8 << 20,
+        &mut out,
+    );
+    assert_eq!(s.stats().loss_events, 1);
+    assert_eq!(out.len(), 4, "the pacer must hold the retransmission");
+    expect_violation("quic-retx-conservation", || {
+        s.mutant_drop_retx();
     });
 }
 
