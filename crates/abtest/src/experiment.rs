@@ -155,17 +155,6 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// The worker count the sharded runner will actually use.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
     /// Reject configurations that cannot produce a meaningful experiment.
     pub fn validate(&self) -> Result<(), SimError> {
         let invalid = |field: &'static str, reason: &str| {
@@ -210,16 +199,6 @@ impl ArmResult {
     /// order so the merged result is independent of worker scheduling.
     pub fn merge(&mut self, other: ArmResult) {
         self.sessions.extend(other.sessions);
-    }
-
-    /// Summarize a per-session metric as a mergeable t-digest
-    /// ([`crate::stats::StreamingStat`]): shards can summarize locally and
-    /// merge summaries without shipping or materializing session records.
-    pub fn streaming_metric(
-        &self,
-        f: impl Fn(&SessionRecord) -> Option<f64>,
-    ) -> crate::stats::StreamingStat {
-        self.sessions.iter().filter_map(f).collect()
     }
 
     /// Extract a per-session metric as a vector.
@@ -675,16 +654,6 @@ pub(crate) fn run_user_pair(
     (pair, per_user)
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The reference single-threaded runner behind
 /// [`ExperimentBuilder::serial_reference`]. Performs the identical
 /// per-user registry swap as the sharded runner so telemetry is
@@ -707,71 +676,43 @@ fn run_serial_impl(
 
 /// The sharded runner with per-user panic isolation.
 ///
-/// Workers pull user indices from a shared counter (dynamic load balance —
-/// session counts vary wildly between users), run both arms for the user,
-/// and deposit the result in that user's slot. A panic inside a user's
-/// sessions is caught at the user boundary: the worker records the payload
-/// and moves on, the pool keeps draining, and the slot `Mutex`es recover
-/// rather than poison. Slots are merged in population order afterwards, so
-/// successful users' records — and telemetry registries — are
-/// bit-identical to the serial runner's.
+/// One [`crate::pool`] cell per user (dynamic load balance — session
+/// counts vary wildly between users) runs both arms. A panic inside a
+/// user's sessions is caught at the user boundary and becomes a
+/// [`UserFailure`] while the pool keeps draining. Results arrive in
+/// population order, so successful users' records — and telemetry
+/// registries — are bit-identical to the serial runner's.
 fn run_detailed_impl(
     population: &[UserProfile],
     control: Arm,
     treatment: Arm,
     cfg: &ExperimentConfig,
 ) -> ExperimentRun {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    type UserSlot = Result<(UserSessions, obs::Registry), String>;
-
-    let threads = cfg.effective_threads().min(population.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<UserSlot>>> = population
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= population.len() {
-                    break;
-                }
-                let user = &population[i];
-                // A panic leaves the user's partial registry in the
-                // worker's thread-local; the next run_user_pair replaces
-                // it, so failed users contribute no telemetry (keeping the
-                // merged registry deterministic).
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_user_pair(user, control, treatment, cfg)
-                }))
-                .map_err(panic_message);
-                *slots[i].lock() = Some(result);
-            });
-        }
-    })
-    .expect("experiment worker pool");
-
+    // A panic leaves the user's partial registry in the worker's
+    // thread-local; the next run_user_pair replaces it, so failed users
+    // contribute no telemetry (keeping the merged registry deterministic).
     let mut run = ExperimentRun::default();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().expect("worker pool drained every user") {
-            Ok(((c, t), metrics)) => {
-                run.control.sessions.extend(c);
-                run.treatment.sessions.extend(t);
-                run.metrics.merge(&metrics);
-            }
-            Err(message) => {
-                run.failures.push(UserFailure {
-                    user: population[i].id,
-                    index: i,
+    let Ok(()) = crate::pool::fold_ordered(
+        0..population.len(),
+        cfg.threads,
+        population.len(),
+        |index| run_user_pair(&population[index], control, treatment, cfg),
+        |index, result| {
+            match result {
+                Ok(((c, t), metrics)) => {
+                    run.control.sessions.extend(c);
+                    run.treatment.sessions.extend(t);
+                    run.metrics.merge(&metrics);
+                }
+                Err(message) => run.failures.push(UserFailure {
+                    user: population[index].id,
+                    index,
                     message,
-                });
+                }),
             }
-        }
-    }
+            Ok::<_, std::convert::Infallible>(std::ops::ControlFlow::Continue(()))
+        },
+    );
     run
 }
 

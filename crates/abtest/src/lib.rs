@@ -17,14 +17,18 @@
 //! - [`sweep`]: the (c0, c1) grid behind Fig 5's VMAF-vs-throughput
 //!   tradeoff.
 //! - [`longitudinal`]: the Fig 6 historical-data cold-start experiment.
-//! - [`optimize`]: the §5.3 parameter-search loop (the Ax analogue):
-//!   coordinate refinement over (c0, c1) under QoE guards.
+//! - [`optimize`]: the §5.3 parameter-search loop (the Ax analogue): a
+//!   successive-halving search over (c0, c1) under QoE guards.
+//! - [`pool`]: the one worker pool every parallel loop above (and the
+//!   bench lab's figure cells) runs on — index-ordered results, per-cell
+//!   panic isolation, a bounded window of unconsumed results.
 
 #![warn(missing_docs)]
 
 pub mod experiment;
 pub mod longitudinal;
 pub mod optimize;
+pub mod pool;
 pub mod population;
 pub mod stats;
 pub mod streaming;
@@ -37,9 +41,10 @@ pub use experiment::{
 };
 pub use longitudinal::{run_cold_start, ColdStartConfig, ColdStartResult};
 pub use optimize::{
-    halving_search, halving_search_with, search, Candidate, Evaluation, HalvingConfig,
-    HalvingOutcome, QoeGuards, SearchOutcome,
+    halving_search, halving_search_with, Candidate, Evaluation, HalvingConfig, HalvingOutcome,
+    QoeGuards,
 };
+pub use pool::run_cells;
 pub use population::{
     bucket_label, bucket_of, draw_population, draw_population_indexed, ladder_with_top, user_at,
     Population, PopulationConfig, UserProfile, THROUGHPUT_BUCKETS,

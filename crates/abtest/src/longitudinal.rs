@@ -72,43 +72,15 @@ impl ColdStartResult {
 /// isolating the effect of the missing historical data exactly as the
 /// paper's experiment does.
 pub fn run_cold_start(population: &[UserProfile], cfg: &ColdStartConfig) -> ColdStartResult {
-    // Sharded like the A/B runner: workers pull users from an atomic
-    // counter, per-user day series land in per-user slots, and slots merge
-    // in population order — bit-identical output for any thread count.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let requested = if cfg.threads > 0 {
-        cfg.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let threads = requested.min(population.len().max(1));
-    let next = AtomicUsize::new(0);
-    type DaySeries = (Vec<Vec<f64>>, Vec<Vec<f64>>);
-    let slots: Vec<parking_lot::Mutex<Option<DaySeries>>> = population
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= population.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(run_cold_start_user(&population[i], cfg));
-            });
-        }
-    })
-    .expect("cold-start worker pool");
-
+    // One pool cell per user, results in population order: bit-identical
+    // output for any thread count.
+    let series = crate::pool::run_cells(population, cfg.threads, |user| {
+        run_cold_start_user(user, cfg)
+    });
     let mut control_days: Vec<Vec<f64>> = vec![Vec::new(); cfg.days];
     let mut treatment_days: Vec<Vec<f64>> = vec![Vec::new(); cfg.days];
-    for slot in slots {
-        let (c, t) = slot.into_inner().expect("worker pool drained every user");
+    for (i, result) in series.into_iter().enumerate() {
+        let (c, t) = result.unwrap_or_else(|m| panic!("cold-start user {i} panicked: {m}"));
         for (day, vals) in c.into_iter().enumerate() {
             control_days[day].extend(vals);
         }

@@ -3,15 +3,16 @@
 //! experimentation platform over multiple A/B rounds to find a Pareto
 //! improvement on all metrics of interest.
 //!
-//! Our stand-in is a deterministic coordinate-refinement search: each round
-//! evaluates a small grid of candidate arms against control (paired
-//! experiments), discards candidates that degrade any guarded QoE metric,
-//! and recenters a shrunken grid on the best survivor. This mirrors what
-//! the Bayesian optimizer accomplishes — walking the tradeoff curve of
-//! Fig 5 to the lowest throughput that still Pareto-improves QoE — without
-//! pretending to reproduce Ax internals.
+//! Our stand-in is a deterministic successive-halving search
+//! ([`halving_search`]): each rung evaluates the surviving candidate arms
+//! against control (paired experiments), discards candidates that degrade
+//! any guarded QoE metric, and advances the smoothest survivors to a
+//! larger population. This mirrors what the Bayesian optimizer
+//! accomplishes — walking the tradeoff curve of Fig 5 to the lowest
+//! throughput that still Pareto-improves QoE — without pretending to
+//! reproduce Ax internals.
 
-use crate::experiment::{population_config_from_spec, Arm, Experiment, ExperimentConfig};
+use crate::experiment::{population_config_from_spec, ExperimentConfig};
 use crate::population::{PopulationConfig, UserProfile};
 use crate::streaming::mix2;
 use netsim::SimError;
@@ -69,100 +70,8 @@ pub struct Candidate {
     pub feasible: bool,
 }
 
-/// Result of the search.
-#[derive(Debug, Clone)]
-pub struct SearchOutcome {
-    /// The chosen parameters (best feasible candidate).
-    pub best: Candidate,
-    /// Every candidate evaluated, in order.
-    pub trace: Vec<Candidate>,
-    /// Rounds executed.
-    pub rounds: usize,
-}
-
-/// Search for the smoothest feasible `(c0, c1)`.
-///
-/// `rounds` of evaluation, each refining around the best survivor. The
-/// objective is minimal chunk throughput subject to the QoE guards.
-/// Rejects a zero-round or empty-population setup before any simulation.
-pub fn search(
-    population: &[UserProfile],
-    cfg: &ExperimentConfig,
-    guards: QoeGuards,
-    rounds: usize,
-) -> Result<SearchOutcome, SimError> {
-    cfg.validate()?;
-    if rounds == 0 {
-        return Err(SimError::InvalidConfig {
-            field: "rounds",
-            reason: "need at least one round".into(),
-        });
-    }
-    if population.is_empty() {
-        return Err(SimError::InvalidConfig {
-            field: "population",
-            reason: "search needs at least one user".into(),
-        });
-    }
-    let mut center = (3.0, 3.0);
-    let mut spread = 1.6;
-    let mut trace: Vec<Candidate> = Vec::new();
-
-    for _round in 0..rounds {
-        let candidates = round_grid(center, spread);
-        for (c0, c1) in candidates {
-            // Skip re-evaluating near-duplicates from earlier rounds.
-            if trace
-                .iter()
-                .any(|c| (c.c0 - c0).abs() < 0.05 && (c.c1 - c1).abs() < 0.05)
-            {
-                continue;
-            }
-            let cand = evaluate(population, cfg, c0, c1, guards)?;
-            trace.push(cand);
-        }
-        if let Some(best) = best_feasible(&trace) {
-            center = (best.c0, best.c1);
-        }
-        spread *= 0.5;
-    }
-
-    let best = best_feasible(&trace)
-        .cloned()
-        // Nothing feasible (extremely strict guards): fall back to the
-        // most conservative candidate evaluated.
-        .unwrap_or_else(|| {
-            trace
-                .iter()
-                .max_by(|a, b| (a.c0 + a.c1).partial_cmp(&(b.c0 + b.c1)).expect("finite"))
-                .expect("non-empty trace")
-                .clone()
-        });
-    Ok(SearchOutcome {
-        best,
-        trace,
-        rounds,
-    })
-}
-
-fn round_grid(center: (f64, f64), spread: f64) -> Vec<(f64, f64)> {
-    let (c0, c1) = center;
-    let mut grid = Vec::new();
-    for dc0 in [-spread, 0.0, spread] {
-        for dc1 in [-spread, 0.0, spread] {
-            let a = (c0 + dc0).max(0.6);
-            let b = (c1 + dc1).max(0.6).min(a + 0.01);
-            grid.push((round2(a), round2(b)));
-        }
-    }
-    grid.dedup();
-    grid
-}
-
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
-}
-
+/// Evaluate one candidate against control: non-finite changes read as 0
+/// so guards and ranking only ever compare finite numbers.
 fn evaluate(
     population: &[UserProfile],
     cfg: &ExperimentConfig,
@@ -170,30 +79,12 @@ fn evaluate(
     c1: f64,
     guards: QoeGuards,
 ) -> Result<Candidate, SimError> {
-    let run = Experiment::builder()
-        .population(population)
-        .control(Arm::Production)
-        .treatment(Arm::Sammy { c0, c1 })
-        .config(cfg.clone())
-        .run()?;
-    let report = run.report(cfg.bootstrap_reps, cfg.seed);
-    let get = |name: &str| {
-        report
-            .row(name)
-            .map(|r| {
-                let p = r.change.pct_change;
-                if p.is_finite() {
-                    p
-                } else {
-                    0.0
-                }
-            })
-            .unwrap_or(0.0)
-    };
-    let tput_pct = get("Chunk Throughput");
-    let vmaf_pct = get("VMAF");
-    let play_delay_pct = get("Play Delay");
-    let rebuffer_pct = get("Rebuffers (/ hr)");
+    let point = crate::sweep::measure(population, cfg, c0, c1)?;
+    let finite = |p: f64| if p.is_finite() { p } else { 0.0 };
+    let tput_pct = finite(point.tput_pct);
+    let vmaf_pct = finite(point.vmaf_pct);
+    let play_delay_pct = finite(point.play_delay_pct);
+    let rebuffer_pct = finite(point.rebuffer_pct);
     let feasible = vmaf_pct >= guards.min_vmaf_pct
         && play_delay_pct <= guards.max_play_delay_pct
         && rebuffer_pct <= guards.max_rebuffer_pct;
@@ -208,16 +99,7 @@ fn evaluate(
     })
 }
 
-fn best_feasible(trace: &[Candidate]) -> Option<&Candidate> {
-    trace
-        .iter()
-        .filter(|c| c.feasible)
-        .min_by(|a, b| a.tput_pct.partial_cmp(&b.tput_pct).expect("finite"))
-}
-
-/// A successive-halving `(c0, c1)` search — the adaptive-budget
-/// replacement for the fixed-grid [`search`] (kept as the baseline the
-/// EXPERIMENTS budget table compares against).
+/// A successive-halving `(c0, c1)` search.
 ///
 /// Rung `r` evaluates the surviving arms with
 /// `initial_users × eta^r` users per arm; QoE-guard violators are pruned
@@ -430,74 +312,44 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{draw_population, PopulationConfig};
+    use crate::population::PopulationConfig;
 
     #[test]
-    fn search_finds_a_feasible_smoother_point() {
-        let cfg = ExperimentConfig {
-            users_per_arm: 24,
-            pre_sessions: 2,
-            sessions_per_user: 2,
-            seed: 6,
-            bootstrap_reps: 100,
-            threads: 0,
+    fn halving_finds_a_feasible_smoother_point() {
+        // The `sammy-sim tune --users 24 --seed 6 --reps 100` setup: eight
+        // arms along the production c1/c0 ratio, default population and
+        // default guards.
+        let cfg = HalvingConfig {
+            arms: (0..8)
+                .map(|i| {
+                    let c0 = 1.2 + 0.4 * i as f64;
+                    ((c0 * 100.0).round() / 100.0, (c0 * 87.5).round() / 100.0)
+                })
+                .collect(),
+            initial_users: 6,
+            eta: 2,
+            rungs: 3,
+            guards: QoeGuards::default(),
+            base: ExperimentConfig {
+                users_per_arm: 24,
+                pre_sessions: 2,
+                sessions_per_user: 2,
+                seed: 6,
+                bootstrap_reps: 100,
+                threads: 0,
+            },
+            population: PopulationConfig::default(),
         };
-        let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, 6);
-        let out = search(&pop, &cfg, QoeGuards::default(), 2).unwrap();
-        assert!(out.rounds == 2);
-        assert!(!out.trace.is_empty());
+        let out = halving_search(&cfg).unwrap();
         let b = &out.best;
         assert!(b.feasible, "search must end feasible: {b:?}");
         // The winner must smooth substantially without violating guards.
         assert!(b.tput_pct < -25.0, "best {b:?}");
         assert!(b.vmaf_pct >= -0.1);
-        // And it must be the minimum-throughput feasible candidate.
-        for c in out.trace.iter().filter(|c| c.feasible) {
-            assert!(b.tput_pct <= c.tput_pct);
-        }
-    }
-
-    #[test]
-    fn infeasible_guards_fall_back_conservatively() {
-        let cfg = ExperimentConfig {
-            users_per_arm: 10,
-            pre_sessions: 1,
-            sessions_per_user: 1,
-            seed: 8,
-            bootstrap_reps: 50,
-            threads: 0,
-        };
-        let pop = draw_population(&PopulationConfig::default(), cfg.users_per_arm, 8);
-        // Impossible guard: require a VMAF *gain* of 5%.
-        let guards = QoeGuards {
-            min_vmaf_pct: 5.0,
-            ..Default::default()
-        };
-        let out = search(&pop, &cfg, guards, 1).unwrap();
-        assert!(!out.best.feasible);
-        // Fallback is the most conservative (largest multipliers) candidate.
-        let max_sum = out
-            .trace
-            .iter()
-            .map(|c| c.c0 + c.c1)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!((out.best.c0 + out.best.c1 - max_sum).abs() < 1e-9);
-    }
-
-    #[test]
-    fn search_rejects_bad_setups() {
-        let cfg = ExperimentConfig::default();
-        let pop = draw_population(&PopulationConfig::default(), 3, 4);
-        assert!(search(&pop, &cfg, QoeGuards::default(), 0).is_err());
-        assert!(search(&[], &cfg, QoeGuards::default(), 1).is_err());
-    }
-
-    #[test]
-    fn grid_respects_floors_and_ordering() {
-        for (c0, c1) in round_grid((1.0, 1.0), 1.6) {
-            assert!(c0 >= 0.6);
-            assert!(c1 >= 0.6);
-            assert!(c1 <= c0 + 0.011, "c1 {c1} should not exceed c0 {c0}");
+        // And it must be the minimum-throughput feasible arm of its rung.
+        let last = out.evaluations.iter().map(|e| e.rung).max().unwrap();
+        for e in out.evaluations.iter().filter(|e| e.rung == last) {
+            assert!(!e.candidate.feasible || b.tput_pct <= e.candidate.tput_pct);
         }
     }
 

@@ -156,7 +156,10 @@ pub fn compare(
     }
 }
 
-fn pct_change(control: f64, treatment: f64) -> f64 {
+/// Percent change of `treatment` vs `control`: NaN when control is zero
+/// or either side is non-finite. Shared by the collecting and streaming
+/// reports.
+pub(crate) fn pct_change(control: f64, treatment: f64) -> f64 {
     if control == 0.0 || !control.is_finite() || !treatment.is_finite() {
         f64::NAN
     } else {

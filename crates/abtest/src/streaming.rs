@@ -36,15 +36,15 @@
 //! an all-corrupt directory fails with [`SimError::Checkpoint`] — never a
 //! silent wrong answer.
 
-use crate::experiment::{panic_message, run_user_pair, Arm, ExperimentConfig, METRICS};
+use crate::experiment::{run_user_pair, Arm, ExperimentConfig, METRICS};
+use crate::pool::{fold_ordered, worker_count};
 use crate::population::Population;
-use crate::stats::{percentile, Aggregate, PairedDelta, StreamingStat};
+use crate::stats::{pct_change, percentile, Aggregate, PairedDelta, StreamingStat};
+use netsim::invariants::panic_message;
 use netsim::SimError;
-use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use tdigest::wire::{self, Fnv, Reader};
 
 /// First 8 bytes of every checkpoint file ("SMYCKPT1", little-endian).
@@ -133,15 +133,6 @@ fn poisson1(key: u64) -> u64 {
             return k;
         }
         k += 1;
-    }
-}
-
-/// Percent change with the same conventions as the collecting report.
-fn pct_change(control: f64, treatment: f64) -> f64 {
-    if control == 0.0 || !control.is_finite() || !treatment.is_finite() {
-        f64::NAN
-    } else {
-        (treatment - control) / control.abs() * 100.0
     }
 }
 
@@ -819,7 +810,9 @@ fn compute_shard(
                 registry.clear_wall_spans();
                 state.fold_user(cfg.seed, user.id, &c, &t, &registry)
             }
-            Err(payload) => state.record_failure(user.id, index as u64, panic_message(payload)),
+            Err(payload) => {
+                state.record_failure(user.id, index as u64, panic_message(&*payload).to_string())
+            }
         }
     }
     state
@@ -847,16 +840,6 @@ fn write_progress_line(
     f.write_all(line.as_bytes())
         .and_then(|()| f.flush())
         .map_err(|e| SimError::Io(format!("append progress line: {e}")))
-}
-
-/// Shared worker/merger coordination state.
-struct Pending {
-    /// Completed shards awaiting their turn, keyed by shard index.
-    ready: BTreeMap<usize, ShardState>,
-    /// Shards `0..merged_upto` are folded into the global state.
-    merged_upto: usize,
-    /// Set on error or requested abort; workers drain and exit.
-    abort: bool,
 }
 
 /// The streaming shard-merge runner (entry:
@@ -917,107 +900,47 @@ pub(crate) fn run_stream_impl(
     };
 
     if start_shard < shards {
-        let threads = cfg.effective_threads().min(shards - start_shard).max(1);
-        let window = if stream.max_pending_shards == 0 {
-            threads * 2
-        } else {
-            stream.max_pending_shards
-        }
-        .max(1);
-
-        let next = AtomicUsize::new(start_shard);
-        let pending = Mutex::new(Pending {
-            ready: BTreeMap::new(),
-            merged_upto: start_shard,
-            abort: false,
-        });
-        let cv = Condvar::new();
-
-        let merge_result: Result<(), SimError> = crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let shard = next.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shards {
-                        break;
-                    }
-                    {
-                        // Backpressure: don't run further than `window`
-                        // shards ahead of the merger.
-                        let mut g = pending.lock().expect("stream lock");
-                        while !g.abort && shard >= g.merged_upto + window {
-                            g = cv.wait(g).expect("stream wait");
-                        }
-                        if g.abort {
-                            break;
-                        }
-                    }
-                    let state =
-                        compute_shard(population, shard, shard_size, control, treatment, cfg, reps);
-                    let mut g = pending.lock().expect("stream lock");
-                    g.ready.insert(shard, state);
-                    cv.notify_all();
-                });
-            }
-
-            // Merge, in strict shard order, on this thread.
-            let result = (|| -> Result<(), SimError> {
-                for k in start_shard..shards {
-                    let state = {
-                        let mut g = pending.lock().expect("stream lock");
-                        loop {
-                            if let Some(st) = g.ready.remove(&k) {
-                                break st;
-                            }
-                            g = cv.wait(g).expect("stream wait");
-                        }
-                    };
-                    global.merge(&state);
-                    merged_shards = k + 1;
-                    if let Some(f) = progress.as_mut() {
-                        write_progress_line(f, k + 1, shards, &global)?;
-                    }
-                    {
-                        let mut g = pending.lock().expect("stream lock");
-                        g.merged_upto = k + 1;
-                        cv.notify_all();
-                    }
-                    if let Some(dir) = stream.checkpoint_dir.as_deref() {
-                        let merged_here = k + 1 - start_shard;
-                        let due = stream.checkpoint_every > 0
-                            && merged_here.is_multiple_of(stream.checkpoint_every);
-                        let last = k + 1 == shards;
-                        if due || last {
-                            write_checkpoint(
-                                dir,
-                                config_fp,
-                                k + 1,
-                                &global,
-                                stream.keep_checkpoints,
-                            )?;
-                            checkpoints_written += 1;
-                            if stream
-                                .abort_after_checkpoints
-                                .is_some_and(|n| checkpoints_written >= n)
-                                && !last
-                            {
-                                aborted = true;
-                                return Ok(());
-                            }
+        let threads = worker_count(cfg.threads, shards - start_shard);
+        let window = match stream.max_pending_shards {
+            0 => threads * 2,
+            n => n,
+        };
+        fold_ordered(
+            start_shard..shards,
+            threads,
+            window,
+            |shard| compute_shard(population, shard, shard_size, control, treatment, cfg, reps),
+            |k, state| -> Result<_, SimError> {
+                // compute_shard isolates per-user panics, so a shard-level
+                // one is a runner bug, not a bad user.
+                let state =
+                    state.map_err(|m| SimError::Experiment(format!("shard {k} panicked: {m}")))?;
+                global.merge(&state);
+                merged_shards = k + 1;
+                if let Some(f) = progress.as_mut() {
+                    write_progress_line(f, k + 1, shards, &global)?;
+                }
+                if let Some(dir) = stream.checkpoint_dir.as_deref() {
+                    let merged_here = k + 1 - start_shard;
+                    let due = stream.checkpoint_every > 0
+                        && merged_here.is_multiple_of(stream.checkpoint_every);
+                    let last = k + 1 == shards;
+                    if due || last {
+                        write_checkpoint(dir, config_fp, k + 1, &global, stream.keep_checkpoints)?;
+                        checkpoints_written += 1;
+                        if stream
+                            .abort_after_checkpoints
+                            .is_some_and(|n| checkpoints_written >= n)
+                            && !last
+                        {
+                            aborted = true;
+                            return Ok(ControlFlow::Break(()));
                         }
                     }
                 }
-                Ok(())
-            })();
-
-            // Wake and drain every worker, whatever happened.
-            let mut g = pending.lock().expect("stream lock");
-            g.abort = true;
-            cv.notify_all();
-            drop(g);
-            result
-        })
-        .expect("stream worker pool");
-        merge_result?;
+                Ok(ControlFlow::Continue(()))
+            },
+        )?;
     }
 
     Ok(StreamRun {

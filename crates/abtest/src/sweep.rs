@@ -75,30 +75,40 @@ pub fn run_sweep(
         });
     }
     grid.iter()
-        .map(|&(c0, c1)| {
-            let run = Experiment::builder()
-                .population(population)
-                .control(Arm::Production)
-                .treatment(Arm::Sammy { c0, c1 })
-                .config(cfg.clone())
-                .run()?;
-            let report = run.report(cfg.bootstrap_reps, cfg.seed);
-            let get = |name: &str| {
-                report
-                    .row(name)
-                    .map(|r| r.change.pct_change)
-                    .unwrap_or(f64::NAN)
-            };
-            Ok(SweepPoint {
-                c0,
-                c1,
-                tput_pct: get("Chunk Throughput"),
-                vmaf_pct: get("VMAF"),
-                play_delay_pct: get("Play Delay"),
-                rebuffer_pct: get("Rebuffers (/ hr)"),
-            })
-        })
+        .map(|&(c0, c1)| measure(population, cfg, c0, c1))
         .collect()
+}
+
+/// Run Sammy at `(c0, c1)` against production on `population` and read
+/// the report's four percent changes (NaN where a change is undefined).
+/// One arm of the sweep, and one evaluation of the parameter search.
+pub(crate) fn measure(
+    population: &[UserProfile],
+    cfg: &ExperimentConfig,
+    c0: f64,
+    c1: f64,
+) -> Result<SweepPoint, SimError> {
+    let run = Experiment::builder()
+        .population(population)
+        .control(Arm::Production)
+        .treatment(Arm::Sammy { c0, c1 })
+        .config(cfg.clone())
+        .run()?;
+    let report = run.report(cfg.bootstrap_reps, cfg.seed);
+    let get = |name: &str| {
+        report
+            .row(name)
+            .map(|r| r.change.pct_change)
+            .unwrap_or(f64::NAN)
+    };
+    Ok(SweepPoint {
+        c0,
+        c1,
+        tput_pct: get("Chunk Throughput"),
+        vmaf_pct: get("VMAF"),
+        play_delay_pct: get("Play Delay"),
+        rebuffer_pct: get("Rebuffers (/ hr)"),
+    })
 }
 
 #[cfg(test)]

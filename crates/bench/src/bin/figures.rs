@@ -85,7 +85,7 @@ fn main() {
             "fig5" => fig5(scale, threads),
             "table3" => table3(scale, threads),
             "baseline" => baseline(scale, threads),
-            "fig6" => fig6(scale),
+            "fig6" => fig6(scale, threads),
             "fig7" => fig7(),
             "fig8a" => fig8a(),
             "fig8b" => fig8b(),
@@ -322,9 +322,9 @@ fn fig5(scale: f64, threads: usize) {
     );
 }
 
-fn fig6(scale: f64) {
+fn fig6(scale: f64, threads: usize) {
     banner("Fig 6: initial-quality difference after a history reset, by day");
-    let diffs = figures::fig6(scale, SEED);
+    let diffs = figures::fig6(scale, SEED, threads);
     println!("{:>6} {:>12}", "day", "% diff");
     let mut rows = Vec::new();
     for (day, d) in diffs.iter().enumerate() {

@@ -100,7 +100,7 @@ pub fn fig5(scale: f64, seed: u64, threads: usize) -> Vec<SweepPoint> {
 
 /// Fig 6: initial-quality difference over days after a history reset.
 /// Returns per-day percent difference, treatment vs control.
-pub fn fig6(scale: f64, seed: u64) -> Vec<f64> {
+pub fn fig6(scale: f64, seed: u64, threads: usize) -> Vec<f64> {
     let pop = draw_population(
         &PopulationConfig::default(),
         ((120.0 * scale) as usize).max(20),
@@ -111,7 +111,7 @@ pub fn fig6(scale: f64, seed: u64) -> Vec<f64> {
         sessions_per_day: 2,
         warmup_sessions: 6,
         seed: seed + 5,
-        threads: 0,
+        threads,
     };
     run_cold_start(&pop, &cfg).pct_diff_by_day()
 }
@@ -263,7 +263,7 @@ mod tests {
         for p in sweep {
             assert!(p.tput_pct.is_finite() && p.vmaf_pct.is_finite(), "{p:?}");
         }
-        let series = fig6(SCALE, SEED);
+        let series = fig6(SCALE, SEED, 0);
         assert!(!series.is_empty());
         assert!(series.iter().all(|v| v.is_finite()), "{series:?}");
     }

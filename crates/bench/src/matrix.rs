@@ -9,13 +9,13 @@
 //! `fig_cc_matrix` figure: per cell, chunk throughput, median RTT,
 //! retransmit fraction, and peak bottleneck queue.
 //!
-//! Cells run on the [`run_cells`] worker pool in a fixed order
+//! Cells run on the [`abtest::pool`] worker pool in a fixed order
 //! (substrate-major, arm-minor), so the CSV is byte-identical for every
 //! `--threads` setting — the CI determinism gate compares sha256 of the
 //! `--threads 1` and `--threads 8` outputs.
 
 use crate::lab::{single_flow, LabArm, LabConfig};
-use crate::shared::run_cells;
+use abtest::run_cells;
 use transport::{CcAlgorithm, Protocol};
 
 /// One transport/CC combination of the matrix.
@@ -88,7 +88,7 @@ pub fn cc_matrix(base: &LabConfig, threads: usize) -> Vec<MatrixCell> {
         .iter()
         .flat_map(|&s| [(s, LabArm::Control), (s, LabArm::Sammy)])
         .collect();
-    run_cells(&cells, threads, |&(s, arm)| {
+    let results = run_cells(&cells, threads, |&(s, arm)| {
         let cfg = LabConfig {
             cc: s.cc,
             transport: s.transport,
@@ -107,7 +107,14 @@ pub fn cc_matrix(base: &LabConfig, threads: usize) -> Vec<MatrixCell> {
             rebuffers: r.rebuffers,
             peak_queue_kb: r.max_queue_bytes as f64 / 1e3,
         }
-    })
+    });
+    results
+        .into_iter()
+        .zip(&cells)
+        .map(|(r, (s, arm))| {
+            r.unwrap_or_else(|m| panic!("matrix cell {} {arm:?} panicked: {m}", s.label))
+        })
+        .collect()
 }
 
 /// Header for [`matrix_csv_rows`].

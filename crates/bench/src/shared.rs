@@ -16,17 +16,17 @@
 //! greedy sessions saturate it — the regime of the paper's §6 neighbor
 //! experiments, scaled out.
 //!
-//! Experiment cells (one `(N, arm)` pair each) run on a worker pool;
-//! results are merged in cell order, so every figure is bit-identical for
-//! every `--threads` setting — the shared-determinism golden test pins the
-//! N=8 fairness CSV across thread counts.
+//! Experiment cells (one `(N, arm)` pair each) run on the [`abtest::pool`]
+//! worker pool; results are merged in cell order, so every figure is
+//! bit-identical for every `--threads` setting — the shared-determinism
+//! golden test pins the N=8 fairness CSV across thread counts.
 
 use crate::lab::{lab_abr, lab_title, LabArm};
+use abtest::run_cells;
 use netsim::{
     Discipline, FlowId, LinkConfig, QueueMonitor, Rate, SharedTopology, SharedTopologyConfig,
     SimDuration, SimTime, Simulator,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 use transport::{MultiSenderEndpoint, TcpConfig};
 use video::{Player, PlayerConfig, VideoClientEndpoint};
 
@@ -222,13 +222,17 @@ pub fn fairness_curve(ns: &[usize], base: &SharedLabConfig, threads: usize) -> V
         .iter()
         .flat_map(|&n| [(n, LabArm::Control), (n, LabArm::Sammy)])
         .collect();
-    let results = run_cells(&cells, threads, |&(n, arm)| {
+    let results: Vec<SharedRunResult> = run_cells(&cells, threads, |&(n, arm)| {
         let cfg = SharedLabConfig {
             sessions: n,
             ..base.clone()
         };
         shared_sessions(arm, &cfg)
-    });
+    })
+    .into_iter()
+    .zip(&cells)
+    .map(|(r, (n, arm))| r.unwrap_or_else(|m| panic!("fairness cell N={n} {arm:?} panicked: {m}")))
+    .collect();
     ns.iter()
         .zip(results.chunks_exact(2))
         .map(|(&n, pair)| {
@@ -278,54 +282,13 @@ pub fn shared_occupancy(
     threads: usize,
 ) -> (SharedRunResult, SharedRunResult) {
     let cells = [LabArm::Control, LabArm::Sammy];
-    let mut results = run_cells(&cells, threads, |&arm| shared_sessions(arm, base));
-    let sammy = results.pop().expect("two cells");
-    let greedy = results.pop().expect("two cells");
-    (greedy, sammy)
-}
-
-/// Run every cell through a worker pool and return results in cell order.
-///
-/// Workers pull cell indices from a shared counter and deposit results
-/// into per-cell slots, which are drained in index order afterwards — the
-/// same discipline as the A/B sharded runner, so output never depends on
-/// scheduling. `threads == 0` sizes the pool to all cores. This is the
-/// generic sharding primitive behind the figures grid, the fairness
-/// curve, and the fluid-vs-packet differential oracle; each cell must be
-/// seed-derived and self-contained so results are byte-identical at every
-/// pool size.
-pub fn run_cells<C: Sync, T: Send>(
-    cells: &[C],
-    threads: usize,
-    f: impl Fn(&C) -> T + Sync,
-) -> Vec<T> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-    .min(cells.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<T>>> = cells
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(f(&cells[i]));
-            });
-        }
-    })
-    .expect("shared lab worker pool");
-    slots
+    let mut results = run_cells(&cells, threads, |&arm| shared_sessions(arm, base))
         .into_iter()
-        .map(|m| m.into_inner().expect("worker pool drained every cell"))
-        .collect()
+        .zip(cells)
+        .map(|(r, arm)| r.unwrap_or_else(|m| panic!("occupancy cell {arm:?} panicked: {m}")));
+    let greedy = results.next().expect("two cells");
+    let sammy = results.next().expect("two cells");
+    (greedy, sammy)
 }
 
 #[cfg(test)]

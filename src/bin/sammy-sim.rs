@@ -7,7 +7,7 @@
 //! sammy-sim neighbors   [--secs 60]
 //! sammy-sim abtest      [--users 150] [--c0 3.2] [--c1 2.8] [--threads 0]
 //! sammy-sim stream      [--users 100000] [--checkpoint-dir DIR] [--resume] ...
-//! sammy-sim tune        [--users 40] [--rounds 2]
+//! sammy-sim tune        [--users 40] [--initial-users N] [--eta 2] [--rungs 3]
 //! sammy-sim quickstart  [--users 20]
 //! ```
 //!
@@ -24,10 +24,7 @@
 //! enabled, the run's telemetry registry is written to `<path>` as JSON
 //! lines (`-` renders the pretty table to stdout instead).
 
-use sammy_repro::abtest::{
-    draw_population, halving_search, population_config_from_spec, search, Experiment,
-    ExperimentConfig, HalvingConfig, QoeGuards,
-};
+use sammy_repro::abtest::{halving_search, Experiment, HalvingConfig};
 use sammy_repro::netsim::SimDuration;
 use sammy_repro::obs;
 use sammy_repro::sammy_bench::lab::{self, LabArm, LabConfig};
@@ -73,8 +70,8 @@ fn usage() {
     eprintln!("               [--shard-size N] [--sessions N] [--pre-sessions N] [--reps N]");
     eprintln!("               [--light] [--checkpoint-dir DIR] [--checkpoint-every N]");
     eprintln!("               [--resume] [--abort-after N]");
-    eprintln!("  tune         [--users N] [--rounds N] [--seed N] [--threads N]");
-    eprintln!("               [--halving] [--initial-users N] [--eta N] [--rungs N]");
+    eprintln!("  tune         [--users N] [--seed N] [--threads N]");
+    eprintln!("               [--initial-users N] [--eta N] [--rungs N]");
     eprintln!("  quickstart   [--users N] [--seed N]");
     eprintln!("  all commands: [--metrics PATH]  (JSON lines; '-' = table on stdout)");
 }
@@ -387,64 +384,6 @@ fn stream(opts: &Opts) {
     obs::with(|r| r.merge(&run.state.registry));
 }
 
-fn tune(opts: &Opts) {
-    let spec = spec_from_flags(
-        opts,
-        ExperimentSpec {
-            users_per_arm: 40,
-            pre_sessions: 2,
-            sessions_per_user: 2,
-            seed: 7,
-            bootstrap_reps: 150,
-            ..Default::default()
-        },
-    );
-    if opts.flag("halving") {
-        tune_halving(opts, &spec);
-        return;
-    }
-    let cfg: ExperimentConfig = (&spec).into();
-    let rounds = opts.get("rounds", 2);
-    let pop = draw_population(
-        &population_config_from_spec(&spec),
-        cfg.users_per_arm,
-        cfg.seed,
-    );
-    println!(
-        "Searching (c0, c1) over {rounds} fixed-grid rounds, {} users...\n",
-        cfg.users_per_arm
-    );
-    let out = match search(&pop, &cfg, QoeGuards::default(), rounds) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("tune setup rejected: {e}");
-            std::process::exit(2);
-        }
-    };
-    println!(
-        "{:>6} {:>6} {:>10} {:>9} {:>10} {:>9}",
-        "c0", "c1", "tput %", "vmaf %", "delay %", "feasible"
-    );
-    for c in &out.trace {
-        println!(
-            "{:>6.2} {:>6.2} {:>10.1} {:>9.3} {:>10.2} {:>9}",
-            c.c0, c.c1, c.tput_pct, c.vmaf_pct, c.play_delay_pct, c.feasible
-        );
-    }
-    let b = &out.best;
-    println!(
-        "\nchosen: c0={}, c1={} -> throughput {:.1}%, VMAF {:.3}%, play delay {:.2}%",
-        b.c0, b.c1, b.tput_pct, b.vmaf_pct, b.play_delay_pct
-    );
-    println!("(the paper's production choice was c0=3.2, c1=2.8 at -61% throughput)");
-    let spent =
-        out.trace.len() * cfg.users_per_arm * 2 * (cfg.pre_sessions + cfg.sessions_per_user);
-    println!(
-        "budget: {spent} simulated user-sessions over {} evaluations",
-        out.trace.len()
-    );
-}
-
 /// The default candidate grid for halving searches: eight arms along the
 /// production ratio (c1 = 0.875 × c0, the paper's 3.2/2.8 shape), from
 /// barely-paced 1.2× to conservative 4.0×.
@@ -460,9 +399,20 @@ fn default_arm_points() -> Vec<ArmPoint> {
         .collect()
 }
 
-/// `tune --halving`: the successive-halving scheduler over the default
-/// arm grid — same schema as `POST /searches` on `sammy-serve`.
-fn tune_halving(opts: &Opts, base: &ExperimentSpec) {
+/// `tune`: the successive-halving scheduler over the default arm grid —
+/// same schema as `POST /searches` on `sammy-serve`.
+fn tune(opts: &Opts) {
+    let base = spec_from_flags(
+        opts,
+        ExperimentSpec {
+            users_per_arm: 40,
+            pre_sessions: 2,
+            sessions_per_user: 2,
+            seed: 7,
+            bootstrap_reps: 150,
+            ..Default::default()
+        },
+    );
     let search_spec = SearchSpec {
         name: "tune".into(),
         arms: default_arm_points(),
@@ -470,7 +420,7 @@ fn tune_halving(opts: &Opts, base: &ExperimentSpec) {
         eta: opts.get("eta", 2),
         rungs: opts.get("rungs", 3),
         guards: Default::default(),
-        base: base.clone(),
+        base,
     };
     let cfg = HalvingConfig::from_spec(&search_spec);
     println!(

@@ -3,6 +3,7 @@
 //! depend on — download times, the paced/unpaced throughput split, and the
 //! presence/absence of queueing.
 
+use sammy_repro::abtest::run_cells;
 use sammy_repro::fluidsim::{download_chunk, FluidConfig, NetworkProfile};
 use sammy_repro::netsim::{
     Dumbbell, DumbbellConfig, FlowId, Packet, Payload, Rate, SimDuration, SimTime, Simulator,
@@ -10,7 +11,6 @@ use sammy_repro::netsim::{
 use sammy_repro::sammy_bench::lab::{
     chaos_fluid_download, chaos_packet_download, chaos_profile, CrossTraffic,
 };
-use sammy_repro::sammy_bench::shared::run_cells;
 use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
 
 /// Run one transfer over the packet simulator, returning the wall-clock
@@ -177,7 +177,7 @@ fn congestion_boundary_matches() {
 #[test]
 fn chaos_differential_oracle_220_profiles() {
     // Each seed's profile and both downloads are derived from the seed
-    // alone, so the simulation work shards cleanly across the bench
+    // alone, so the simulation work shards cleanly across the abtest
     // worker pool (0 = all cores); `run_cells` returns results in seed
     // order regardless of scheduling, and the envelope assertions below
     // run serially over that ordered list so failure messages stay
@@ -190,7 +190,8 @@ fn chaos_differential_oracle_220_profiles() {
         (p, pkt, fluid)
     });
     let mut checked = 0usize;
-    for (&seed, (p, pkt, fluid)) in seeds.iter().zip(runs) {
+    for (&seed, run) in seeds.iter().zip(runs) {
+        let (p, pkt, fluid) = run.unwrap_or_else(|m| panic!("seed {seed} panicked: {m}"));
         assert!(
             pkt.is_finite() && pkt > 0.0 && fluid.is_finite() && fluid > 0.0,
             "degenerate download time: packet {pkt}, fluid {fluid}, profile {p:?}"
