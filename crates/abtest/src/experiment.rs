@@ -195,12 +195,6 @@ pub struct ArmResult {
 }
 
 impl ArmResult {
-    /// Absorb another shard's sessions. Callers merge shards in population
-    /// order so the merged result is independent of worker scheduling.
-    pub fn merge(&mut self, other: ArmResult) {
-        self.sessions.extend(other.sessions);
-    }
-
     /// Extract a per-session metric as a vector.
     pub fn metric(&self, f: impl Fn(&SessionRecord) -> Option<f64>) -> Vec<f64> {
         self.sessions.iter().filter_map(f).collect()
@@ -480,6 +474,10 @@ impl<'p> ExperimentBuilder<'p> {
     /// variance from the comparison (a simulator can run the exact
     /// counterfactual; production tests need scale instead). CIs come from
     /// a cluster bootstrap over users ([`compare_paired`]).
+    ///
+    /// Runs as the streaming runner's record-keeping pass (one user per
+    /// shard, every record kept, no accumulators folded); without an
+    /// explicit population it draws one with [`draw_population`].
     pub fn run(self) -> Result<ExperimentRun, SimError> {
         self.cfg.validate()?;
         let drawn;
@@ -494,7 +492,16 @@ impl<'p> ExperimentBuilder<'p> {
         let run = if self.serial_reference {
             run_serial_impl(population, self.control, self.treatment, &self.cfg)
         } else {
-            run_detailed_impl(population, self.control, self.treatment, &self.cfg)
+            let mut run = ExperimentRun::default();
+            crate::streaming::run_stream_impl(
+                &crate::population::Population::Explicit(population),
+                self.control,
+                self.treatment,
+                &self.cfg,
+                &crate::streaming::StreamConfig::default(),
+                Some(&mut run),
+            )?;
+            run
         };
         if !self.detailed {
             if let Some(f) = run.failures.first() {
@@ -540,15 +547,6 @@ impl<'p> ExperimentBuilder<'p> {
         self
     }
 
-    /// Bound on completed-but-unmerged shards (0 = `2 × threads`). This is
-    /// the streaming runner's memory knob: peak state is
-    /// `O(threads + max_pending)` shard accumulators regardless of
-    /// population size.
-    pub fn max_pending_shards(mut self, n: usize) -> Self {
-        self.stream.max_pending_shards = n;
-        self
-    }
-
     /// Test/ops hook: stop the run cleanly after writing `n` checkpoints,
     /// as if the process had been killed at a checkpoint boundary. The
     /// resume battery uses this to exercise kill/resume without signals.
@@ -591,18 +589,19 @@ impl<'p> ExperimentBuilder<'p> {
             self.treatment,
             &self.cfg,
             &self.stream,
+            None,
         )
     }
 }
 
-/// A user whose sessions panicked mid-experiment (isolated by the sharded
-/// runner rather than poisoning the pool).
-#[derive(Debug, Clone)]
+/// A user whose sessions panicked mid-experiment (isolated at the user
+/// boundary rather than poisoning the pool).
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserFailure {
     /// The user's id.
     pub user: u64,
-    /// The user's index in the population slice.
-    pub index: usize,
+    /// The user's index in the population.
+    pub index: u64,
     /// The panic payload, stringified.
     pub message: String,
 }
@@ -625,9 +624,33 @@ pub struct ExperimentRun {
 }
 
 impl ExperimentRun {
-    /// The Table 2-style report comparing treatment to control.
+    /// The Table 2-style report comparing treatment to control: pooled
+    /// per-arm statistics, cluster-bootstrap CIs over users
+    /// ([`compare_paired`], [`paired_delta`]), and `reps` replicates per
+    /// row seeded from `seed`.
     pub fn report(&self, reps: usize, seed: u64) -> Report {
-        Report::build(&self.control, &self.treatment, reps, seed)
+        let finite = |arm: &[Vec<f64>]| arm.iter().flatten().filter(|v| v.is_finite()).count();
+        let rows = METRICS
+            .iter()
+            .enumerate()
+            .map(|(i, &(name, agg, f))| {
+                let c = self.control.metric_by_user(f);
+                let t = self.treatment.metric_by_user(f);
+                MetricRow {
+                    name: name.to_string(),
+                    agg,
+                    change: compare_paired(&c, &t, agg, reps, seed.wrapping_add(i as u64)),
+                    paired: paired_delta(&c, &t, reps, seed.wrapping_add(100 + i as u64)),
+                    control_count: finite(&c) as u64,
+                    treatment_count: finite(&t) as u64,
+                }
+            })
+            .collect();
+        Report {
+            rows,
+            users: self.control.metric_by_user(|_| None).len() as u64,
+            failures: self.failures.len() as u64,
+        }
     }
 }
 
@@ -674,65 +697,38 @@ fn run_serial_impl(
     run
 }
 
-/// The sharded runner with per-user panic isolation.
-///
-/// One [`crate::pool`] cell per user (dynamic load balance — session
-/// counts vary wildly between users) runs both arms. A panic inside a
-/// user's sessions is caught at the user boundary and becomes a
-/// [`UserFailure`] while the pool keeps draining. Results arrive in
-/// population order, so successful users' records — and telemetry
-/// registries — are bit-identical to the serial runner's.
-fn run_detailed_impl(
-    population: &[UserProfile],
-    control: Arm,
-    treatment: Arm,
-    cfg: &ExperimentConfig,
-) -> ExperimentRun {
-    // A panic leaves the user's partial registry in the worker's
-    // thread-local; the next run_user_pair replaces it, so failed users
-    // contribute no telemetry (keeping the merged registry deterministic).
-    let mut run = ExperimentRun::default();
-    let Ok(()) = crate::pool::fold_ordered(
-        0..population.len(),
-        cfg.threads,
-        population.len(),
-        |index| run_user_pair(&population[index], control, treatment, cfg),
-        |index, result| {
-            match result {
-                Ok(((c, t), metrics)) => {
-                    run.control.sessions.extend(c);
-                    run.treatment.sessions.extend(t);
-                    run.metrics.merge(&metrics);
-                }
-                Err(message) => run.failures.push(UserFailure {
-                    user: population[index].id,
-                    index,
-                    message,
-                }),
-            }
-            Ok::<_, std::convert::Infallible>(std::ops::ControlFlow::Continue(()))
-        },
-    );
-    run
-}
-
 /// One row of a Table 2 / Table 3 style report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricRow {
     /// Metric name as the table prints it.
     pub name: String,
-    /// The median-based comparison (the paper's headline statistic).
+    /// How the per-arm statistic is aggregated.
+    pub agg: Aggregate,
+    /// The arm statistics and their percent change (the paper's headline
+    /// statistic). The CI is NaN in a streaming report, which keeps no
+    /// quantile bootstrap.
     pub change: PercentChange,
     /// The paired per-session mean delta — resolves sub-percent effects
     /// the pooled median ties away.
     pub paired: PairedDelta,
+    /// Control sessions with a finite value for this metric.
+    pub control_count: u64,
+    /// Treatment sessions with a finite value for this metric.
+    pub treatment_count: u64,
 }
 
-/// The full Table 2-style report.
+/// The Table 2-style report of either entry point:
+/// [`ExperimentRun::report`] over the kept records, or
+/// [`StreamRun::report`](crate::streaming::StreamRun::report) over the
+/// merged accumulators.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    /// Rows in table order.
+    /// Rows in [`METRICS`] order.
     pub rows: Vec<MetricRow>,
+    /// Users whose sessions entered the report.
+    pub users: u64,
+    /// Users whose sessions panicked.
+    pub failures: u64,
 }
 
 /// A per-session metric extractor. Capture-free (`fn`, not a closure) so
@@ -741,7 +737,7 @@ pub struct Report {
 pub type MetricExtractor = fn(&SessionRecord) -> Option<f64>;
 
 /// The Table 2 metric set: name, aggregation rule, extractor. Single
-/// source of truth for [`Report::build`] and the streaming runner's
+/// source of truth for [`ExperimentRun::report`] and the streaming runner's
 /// per-shard accumulators, so the two paths can never disagree on what a
 /// metric means.
 pub const METRICS: [(&str, Aggregate, MetricExtractor); 8] = [
@@ -775,25 +771,7 @@ pub const METRICS: [(&str, Aggregate, MetricExtractor); 8] = [
 ];
 
 impl Report {
-    /// Build the report comparing `treatment` to `control`.
-    pub fn build(control: &ArmResult, treatment: &ArmResult, reps: usize, seed: u64) -> Report {
-        let rows = METRICS
-            .iter()
-            .enumerate()
-            .map(|(i, &(name, agg, f))| {
-                let c = control.metric_by_user(f);
-                let t = treatment.metric_by_user(f);
-                MetricRow {
-                    name: name.to_string(),
-                    change: compare_paired(&c, &t, agg, reps, seed.wrapping_add(i as u64)),
-                    paired: paired_delta(&c, &t, reps, seed.wrapping_add(100 + i as u64)),
-                }
-            })
-            .collect();
-        Report { rows }
-    }
-
-    /// Render as an aligned text table.
+    /// Render as an aligned text table with a users/failures footer.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -810,6 +788,10 @@ impl Report {
                 r.paired.display()
             ));
         }
+        out.push_str(&format!(
+            "users: {}   failures: {}\n",
+            self.users, self.failures
+        ));
         out
     }
 

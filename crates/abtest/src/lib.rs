@@ -8,11 +8,13 @@
 //! - [`experiment`]: arms ([`Arm::Production`], [`Arm::Sammy`],
 //!   [`Arm::InitialOnly`], [`Arm::NaivePaced`]), the pre-experiment phase
 //!   that builds history and pre-experiment p95 throughput, the session
-//!   loop, and [`Report`] — the Table 2/3-style percent-change table with
-//!   bootstrap CIs.
-//! - [`streaming`]: the shard-merge runner — million-user arms at
-//!   O(threads) memory, lazy per-index populations, and checkpoint/resume
-//!   that is bit-identical to an uninterrupted run.
+//!   loop, the [`Experiment`] builder, and [`Report`] — the Table 2/3-style
+//!   percent-change table with bootstrap CIs that both runs produce.
+//! - [`streaming`]: the one A/B runner, a shard-merge loop. `run()` drives
+//!   it as a record-keeping pass (one user per shard, every session record
+//!   kept); `run_streaming()` folds shards into mergeable accumulators —
+//!   million-user arms at O(threads) memory, lazy per-index populations,
+//!   and checkpoint/resume that is bit-identical to an uninterrupted run.
 //! - [`stats`]: medians, percentiles, and the seeded percentile bootstrap.
 //! - [`sweep`]: the (c0, c1) grid behind Fig 5's VMAF-vs-throughput
 //!   tradeoff.
@@ -50,10 +52,8 @@ pub use population::{
     Population, PopulationConfig, UserProfile, THROUGHPUT_BUCKETS,
 };
 pub use stats::{
-    compare, compare_paired, mean, median, paired_delta, percentile, Aggregate, PairedDelta,
-    PercentChange, StreamingStat,
+    compare_paired, mean, median, paired_delta, percentile, Aggregate, PairedDelta, PercentChange,
+    StreamingStat,
 };
-pub use streaming::{
-    MetricAcc, ShardState, StreamConfig, StreamFailure, StreamReport, StreamRow, StreamRun,
-};
+pub use streaming::{MetricAcc, ShardState, StreamConfig, StreamRun};
 pub use sweep::{default_grid, run_sweep, SweepPoint};

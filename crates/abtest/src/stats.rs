@@ -98,6 +98,17 @@ pub struct PercentChange {
 }
 
 impl PercentChange {
+    /// The change from `control` to `treatment` with no CI (NaN bounds).
+    pub(crate) fn point(control: f64, treatment: f64) -> Self {
+        PercentChange {
+            control,
+            treatment,
+            pct_change: pct_change(control, treatment),
+            ci_low: f64::NAN,
+            ci_high: f64::NAN,
+        }
+    }
+
     /// True if the 95% CI excludes zero — the paper's significance rule.
     pub fn significant(&self) -> bool {
         self.ci_low.is_finite()
@@ -106,9 +117,12 @@ impl PercentChange {
     }
 
     /// Format as the tables do: the change when significant, "–" otherwise,
-    /// always with the CI.
+    /// always with the CI — or, when there is no CI but there is a change,
+    /// the bare change.
     pub fn display(&self) -> String {
-        if self.significant() {
+        if self.ci_low.is_nan() && self.ci_high.is_nan() && self.pct_change.is_finite() {
+            format!("{:+.2}%", self.pct_change)
+        } else if self.significant() {
             format!(
                 "{:+.2}% [{:+.1}, {:+.1}]",
                 self.pct_change, self.ci_low, self.ci_high
@@ -119,62 +133,14 @@ impl PercentChange {
     }
 }
 
-/// Compare treatment vs control session values with a percentile bootstrap
-/// (independent resampling of each arm, `reps` replicates, seeded).
-pub fn compare(
-    control: &[f64],
-    treatment: &[f64],
-    agg: Aggregate,
-    reps: usize,
-    seed: u64,
-) -> PercentChange {
-    let c_stat = agg.apply(control);
-    let t_stat = agg.apply(treatment);
-    let pct = pct_change(c_stat, t_stat);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut boots = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let c = resample_stat(control, agg, &mut rng);
-        let t = resample_stat(treatment, agg, &mut rng);
-        let p = pct_change(c, t);
-        if p.is_finite() {
-            boots.push(p);
-        }
-    }
-    let (lo, hi) = if boots.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (percentile(&boots, 0.025), percentile(&boots, 0.975))
-    };
-    PercentChange {
-        control: c_stat,
-        treatment: t_stat,
-        pct_change: pct,
-        ci_low: lo,
-        ci_high: hi,
-    }
-}
-
 /// Percent change of `treatment` vs `control`: NaN when control is zero
-/// or either side is non-finite. Shared by the collecting and streaming
-/// reports.
+/// or either side is non-finite.
 pub(crate) fn pct_change(control: f64, treatment: f64) -> f64 {
     if control == 0.0 || !control.is_finite() || !treatment.is_finite() {
         f64::NAN
     } else {
         (treatment - control) / control.abs() * 100.0
     }
-}
-
-fn resample_stat(values: &[f64], agg: Aggregate, rng: &mut StdRng) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let sample: Vec<f64> = (0..values.len())
-        .map(|_| values[rng.gen_range(0..values.len())])
-        .collect();
-    agg.apply(&sample)
 }
 
 /// Compare treatment vs control for a *paired* experiment: both arms ran
@@ -195,19 +161,7 @@ pub fn compare_paired(
         treatment.len(),
         "paired arms must align by user"
     );
-    let pool = |arm: &[Vec<f64>]| -> Vec<f64> {
-        arm.iter()
-            .flatten()
-            .copied()
-            .filter(|x| x.is_finite())
-            .collect()
-    };
-    let c_all = pool(control);
-    let t_all = pool(treatment);
-    let c_stat = agg.apply(&c_all);
-    let t_stat = agg.apply(&t_all);
-    let pct = pct_change(c_stat, t_stat);
-
+    let point = paired_point(control, treatment, agg);
     let n = control.len();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut boots = Vec::with_capacity(reps);
@@ -230,12 +184,27 @@ pub fn compare_paired(
         (percentile(&boots, 0.025), percentile(&boots, 0.975))
     };
     PercentChange {
-        control: c_stat,
-        treatment: t_stat,
-        pct_change: pct,
         ci_low: lo,
         ci_high: hi,
+        ..point
     }
+}
+
+/// The point estimate of [`compare_paired`], without its bootstrap: each
+/// arm's statistic over all of its finite session values, and the change.
+pub(crate) fn paired_point(
+    control: &[Vec<f64>],
+    treatment: &[Vec<f64>],
+    agg: Aggregate,
+) -> PercentChange {
+    let pool = |arm: &[Vec<f64>]| -> Vec<f64> {
+        arm.iter()
+            .flatten()
+            .copied()
+            .filter(|x| x.is_finite())
+            .collect()
+    };
+    PercentChange::point(agg.apply(&pool(control)), agg.apply(&pool(treatment)))
 }
 
 /// The mean per-session paired percent difference, with a cluster
@@ -500,52 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_difference_is_significant() {
-        let control: Vec<f64> = (0..500).map(|i| 100.0 + (i % 10) as f64).collect();
-        let treatment: Vec<f64> = (0..500).map(|i| 50.0 + (i % 10) as f64).collect();
-        let c = compare(&control, &treatment, Aggregate::Median, 500, 1);
-        assert!(c.significant());
-        assert!(c.pct_change < -40.0 && c.pct_change > -55.0);
-        assert!(c.ci_high < 0.0);
-        assert!(c.display().contains('%'));
-    }
-
-    #[test]
-    fn identical_arms_not_significant() {
-        let vals: Vec<f64> = (0..500).map(|i| 10.0 + ((i * 7) % 100) as f64).collect();
-        let c = compare(&vals, &vals, Aggregate::Median, 500, 2);
-        assert!(
-            !c.significant(),
-            "identical arms must not be significant: {c:?}"
-        );
-        assert!(c.display().contains('–'));
-    }
-
-    #[test]
-    fn noisy_small_difference_not_significant() {
-        // 0.1% shift buried in 30% noise with modest n.
-        let mut rng = StdRng::seed_from_u64(3);
-        let control: Vec<f64> = (0..200)
-            .map(|_| 100.0 * (1.0 + 0.3 * (rng.gen::<f64>() - 0.5)))
-            .collect();
-        let treatment: Vec<f64> = (0..200)
-            .map(|_| 100.1 * (1.0 + 0.3 * (rng.gen::<f64>() - 0.5)))
-            .collect();
-        let c = compare(&control, &treatment, Aggregate::Median, 500, 4);
-        assert!(!c.significant());
-    }
-
-    #[test]
-    fn bootstrap_deterministic() {
-        let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..100).map(|i| (i * 2) as f64).collect();
-        let c1 = compare(&a, &b, Aggregate::Mean, 300, 7);
-        let c2 = compare(&a, &b, Aggregate::Mean, 300, 7);
-        assert_eq!(c1.ci_low, c2.ci_low);
-        assert_eq!(c1.ci_high, c2.ci_high);
-    }
-
-    #[test]
     fn paired_compare_detects_small_shift() {
         // 100 users, 5 sessions each; treatment is a consistent -2% on a
         // metric with large between-user spread. An unpaired split would
@@ -565,6 +488,13 @@ mod tests {
         let r = compare_paired(&control, &treatment, Aggregate::Median, 400, 9);
         assert!(r.significant(), "{r:?}");
         assert!((r.pct_change + 2.0).abs() < 1.0, "{r:?}");
+        assert!(r.ci_high < 0.0, "{r:?}");
+        assert!(r.display().contains('%'));
+
+        // Same inputs, same seed: the same bootstrap, bit for bit.
+        let again = compare_paired(&control, &treatment, Aggregate::Median, 400, 9);
+        assert_eq!(r.ci_low.to_bits(), again.ci_low.to_bits());
+        assert_eq!(r.ci_high.to_bits(), again.ci_high.to_bits());
     }
 
     #[test]
@@ -573,6 +503,32 @@ mod tests {
         let r = compare_paired(&arm, &arm, Aggregate::Median, 200, 3);
         assert!(!r.significant());
         assert_eq!(r.pct_change, 0.0);
+        assert!(r.display().contains('–'));
+    }
+
+    #[test]
+    fn paired_compare_with_empty_arms_is_nan_and_not_significant() {
+        let c = compare_paired(&[], &[], Aggregate::Median, 100, 1);
+        assert!(c.pct_change.is_nan());
+        assert!(!c.significant());
+        let c = compare_paired(&[vec![1.0, 2.0]], &[vec![]], Aggregate::Median, 100, 1);
+        assert!(c.pct_change.is_nan());
+        assert!(!c.significant());
+    }
+
+    #[test]
+    fn point_estimate_matches_compare_paired() {
+        let control: Vec<Vec<f64>> = (0..20).map(|u| vec![u as f64 + 5.0, 7.0]).collect();
+        let treatment: Vec<Vec<f64>> = (0..20).map(|u| vec![u as f64 + 4.0, 6.5]).collect();
+        for agg in [Aggregate::Median, Aggregate::Mean] {
+            let full = compare_paired(&control, &treatment, agg, 50, 2);
+            let point = paired_point(&control, &treatment, agg);
+            assert_eq!(point.pct_change.to_bits(), full.pct_change.to_bits());
+            assert_eq!(point.control.to_bits(), full.control.to_bits());
+            assert!(point.ci_low.is_nan() && point.ci_high.is_nan());
+            // With no CI, the table shows the bare change.
+            assert_eq!(point.display(), format!("{:+.2}%", point.pct_change));
+        }
     }
 
     #[test]
@@ -597,16 +553,6 @@ mod tests {
         let d = paired_delta(&arm, &arm, 100, 1);
         assert_eq!(d.mean_delta_pct, 0.0);
         assert!(!d.significant());
-    }
-
-    #[test]
-    fn compare_with_empty_arms_is_nan_and_not_significant() {
-        let c = compare(&[], &[], Aggregate::Median, 100, 1);
-        assert!(c.pct_change.is_nan());
-        assert!(!c.significant());
-        let c = compare(&[1.0, 2.0], &[], Aggregate::Median, 100, 1);
-        assert!(c.pct_change.is_nan());
-        assert!(!c.significant());
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! The streaming shard-merge runner: million-user arms at O(threads)
-//! memory, with checkpoint/resume bit-identical to an uninterrupted run.
+//! The shard-merge runner, the one loop over users: million-user arms at
+//! O(threads) memory, with checkpoint/resume bit-identical to an
+//! uninterrupted run.
 //!
-//! The collecting runner ([`crate::experiment::ExperimentBuilder::run`])
-//! keeps one slot per user, which is exactly right for table-sized
-//! experiments and exactly wrong for fleet-sized ones. This runner never
+//! Keeping one slot per user ([`crate::experiment::ExperimentBuilder::run`])
+//! is exactly right for table-sized experiments and exactly wrong for
+//! fleet-sized ones. The streaming pass
+//! ([`crate::experiment::ExperimentBuilder::run_streaming`]) never
 //! materializes anything per-user:
 //!
 //! 1. The population is split into fixed-size **shards** (user index
@@ -16,9 +18,14 @@
 //!    sums, Poisson-bootstrap replicate sums, and the telemetry registry.
 //!    Session records die with the user.
 //! 3. A merger (the calling thread) folds completed shards into the global
-//!    state in **strict shard order**. Workers that run too far ahead of
-//!    the merger block (`max_pending_shards`), bounding completed-but-
+//!    state in **strict shard order**. Workers never run more than
+//!    `2 × threads` shards ahead of the merger, bounding completed-but-
 //!    unmerged state to O(threads).
+//!
+//! `run()` drives the same loop as a **record-keeping pass**: one user per
+//! shard, a window over the whole population, and each user's records and
+//! registry handed to the merger in population order instead of folded —
+//! that report comes from the records, so no accumulator is built.
 //!
 //! Every accumulator merge is deterministic given the merge order, and the
 //! merge order is fixed, so the final state — down to t-digest centroid
@@ -36,10 +43,13 @@
 //! an all-corrupt directory fails with [`SimError::Checkpoint`] — never a
 //! silent wrong answer.
 
-use crate::experiment::{run_user_pair, Arm, ExperimentConfig, METRICS};
+use crate::experiment::{
+    run_user_pair, Arm, ExperimentConfig, ExperimentRun, MetricRow, Report, UserFailure,
+    UserSessions, METRICS,
+};
 use crate::pool::{fold_ordered, worker_count};
-use crate::population::Population;
-use crate::stats::{pct_change, percentile, Aggregate, PairedDelta, StreamingStat};
+use crate::population::{Population, UserProfile};
+use crate::stats::{percentile, Aggregate, PairedDelta, PercentChange, StreamingStat};
 use netsim::invariants::panic_message;
 use netsim::SimError;
 use std::ops::ControlFlow;
@@ -54,6 +64,9 @@ const CKPT_VERSION: u32 = 1;
 /// Failure samples retained in the merged state (counts are exact; the
 /// samples are the first few in population order, for error messages).
 const MAX_FAILURE_SAMPLES: usize = 32;
+/// Checkpoint files retained (older ones are pruned). Two means a torn
+/// newest file can always fall back to its predecessor.
+const KEEP_CHECKPOINTS: usize = 2;
 
 /// Options for the streaming runner (set via the
 /// [`ExperimentBuilder`](crate::experiment::ExperimentBuilder) methods).
@@ -69,11 +82,6 @@ pub struct StreamConfig {
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume from the newest valid checkpoint in `checkpoint_dir`.
     pub resume: bool,
-    /// Checkpoint files retained (older ones are pruned). Two means a torn
-    /// newest file can always fall back to its predecessor.
-    pub keep_checkpoints: usize,
-    /// Bound on completed-but-unmerged shards (0 = `2 × threads`).
-    pub max_pending_shards: usize,
     /// Test/ops hook: stop cleanly after writing this many checkpoints,
     /// simulating a kill at a checkpoint boundary.
     pub abort_after_checkpoints: Option<usize>,
@@ -92,8 +100,6 @@ impl Default for StreamConfig {
             checkpoint_every: 16,
             checkpoint_dir: None,
             resume: false,
-            keep_checkpoints: 2,
-            max_pending_shards: 0,
             abort_after_checkpoints: None,
             progress_path: None,
         }
@@ -296,17 +302,6 @@ impl MetricAcc {
     }
 }
 
-/// A user whose sessions panicked, as retained in the streaming state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamFailure {
-    /// The user's id.
-    pub user: u64,
-    /// The user's index in the population.
-    pub index: u64,
-    /// The panic payload, stringified.
-    pub message: String,
-}
-
 /// The mergeable per-shard (and, after merging, global) experiment state:
 /// one [`MetricAcc`] per table row, exact user/session/failure counts, a
 /// bounded failure sample, and the merged telemetry registry.
@@ -322,7 +317,7 @@ pub struct ShardState {
     /// Users whose sessions panicked (exact count).
     pub failures: u64,
     /// The first [`MAX_FAILURE_SAMPLES`] failures in population order.
-    pub failure_samples: Vec<StreamFailure>,
+    pub failure_samples: Vec<UserFailure>,
     /// Telemetry merged in population order (empty without the `obs`
     /// feature).
     pub registry: obs::Registry,
@@ -350,8 +345,7 @@ impl ShardState {
         &mut self,
         seed: u64,
         user_id: u64,
-        control: &[crate::experiment::SessionRecord],
-        treatment: &[crate::experiment::SessionRecord],
+        (control, treatment): &UserSessions,
         registry: &obs::Registry,
     ) {
         for (idx, &(_, _, f)) in METRICS.iter().enumerate() {
@@ -366,14 +360,10 @@ impl ShardState {
         self.registry.merge(registry);
     }
 
-    fn record_failure(&mut self, user: u64, index: u64, message: String) {
+    fn record_failure(&mut self, failure: UserFailure) {
         self.failures += 1;
         if self.failure_samples.len() < MAX_FAILURE_SAMPLES {
-            self.failure_samples.push(StreamFailure {
-                user,
-                index,
-                message,
-            });
+            self.failure_samples.push(failure);
         }
     }
 
@@ -436,7 +426,7 @@ impl ShardState {
         }
         let mut failure_samples = Vec::with_capacity(n_fail);
         for _ in 0..n_fail {
-            failure_samples.push(StreamFailure {
+            failure_samples.push(UserFailure {
                 user: r.u64("failure.user")?,
                 index: r.u64("failure.index")?,
                 message: r.str("failure.message")?.to_string(),
@@ -518,7 +508,6 @@ fn write_checkpoint(
     config_fp: u64,
     next_shard: usize,
     state: &ShardState,
-    keep: usize,
 ) -> Result<(), SimError> {
     std::fs::create_dir_all(dir)?;
     let mut buf = Vec::new();
@@ -541,7 +530,7 @@ fn write_checkpoint(
     std::fs::rename(&tmp, checkpoint_path(dir, next_shard))?;
 
     let mut files = list_checkpoints(dir)?;
-    while files.len() > keep.max(1) {
+    while files.len() > KEEP_CHECKPOINTS {
         let (path, _) = files.remove(0);
         let _ = std::fs::remove_file(path);
     }
@@ -654,9 +643,34 @@ pub struct StreamRun {
 }
 
 impl StreamRun {
-    /// The Table 2-style report over the merged state.
-    pub fn report(&self) -> StreamReport {
-        StreamReport::build(&self.state)
+    /// The Table 2-style report over the merged state: t-digest medians or
+    /// exact means per arm, and the paired mean delta with its
+    /// Poisson-bootstrap CI. The streaming path keeps no quantile
+    /// bootstrap, so every row's `change` has a NaN CI.
+    pub fn report(&self) -> Report {
+        let rows = METRICS
+            .iter()
+            .zip(self.state.metrics())
+            .map(|(&(name, agg, _), m)| {
+                let stat = |s: &StreamingStat| match agg {
+                    Aggregate::Median => s.median(),
+                    Aggregate::Mean => s.mean(),
+                };
+                MetricRow {
+                    name: name.to_string(),
+                    agg,
+                    change: PercentChange::point(stat(m.control()), stat(m.treatment())),
+                    paired: m.paired_delta(),
+                    control_count: m.control().count(),
+                    treatment_count: m.treatment().count(),
+                }
+            })
+            .collect();
+        Report {
+            rows,
+            users: self.state.users,
+            failures: self.state.failures,
+        }
     }
 
     /// FNV-1a fingerprint of the complete merged state (metric
@@ -674,113 +688,39 @@ impl StreamRun {
     }
 }
 
-/// One row of the streaming report.
-#[derive(Debug, Clone)]
-pub struct StreamRow {
-    /// Metric name, as in [`METRICS`].
-    pub name: &'static str,
-    /// How the per-arm statistic is aggregated.
-    pub agg: Aggregate,
-    /// Control-arm statistic (t-digest median or exact mean).
-    pub control: f64,
-    /// Treatment-arm statistic.
-    pub treatment: f64,
-    /// Percent change of the arm statistics.
-    pub pct_change: f64,
-    /// Paired per-session mean delta with bootstrap CI (exact mean;
-    /// resolves sub-percent effects the quantile estimate can't).
-    pub paired: PairedDelta,
-    /// Control sessions with a value for this metric.
-    pub control_count: u64,
-    /// Treatment sessions with a value for this metric.
-    pub treatment_count: u64,
+/// One user's paired records and telemetry registry, or its failure.
+type UserOutcome = Result<(UserSessions, obs::Registry), UserFailure>;
+
+/// What a shard hands the merger.
+enum ShardOut {
+    /// The streaming pass: the shard's users folded into accumulators.
+    Folded(ShardState),
+    /// The record-keeping pass: the shard's one user, kept whole.
+    Kept(UserOutcome),
 }
 
-/// The streaming analogue of [`crate::experiment::Report`].
-#[derive(Debug, Clone)]
-pub struct StreamReport {
-    /// Rows in [`METRICS`] order.
-    pub rows: Vec<StreamRow>,
-    /// Users folded in.
-    pub users: u64,
-    /// Users that failed.
-    pub failures: u64,
-}
-
-impl StreamReport {
-    fn build(state: &ShardState) -> StreamReport {
-        let rows = METRICS
-            .iter()
-            .zip(state.metrics())
-            .map(|(&(name, agg, _), m)| {
-                let stat = |s: &StreamingStat| match agg {
-                    Aggregate::Median => s.median(),
-                    Aggregate::Mean => s.mean(),
-                };
-                let control = stat(m.control());
-                let treatment = stat(m.treatment());
-                StreamRow {
-                    name,
-                    agg,
-                    control,
-                    treatment,
-                    pct_change: pct_change(control, treatment),
-                    paired: m.paired_delta(),
-                    control_count: m.control().count(),
-                    treatment_count: m.treatment().count(),
-                }
-            })
-            .collect();
-        StreamReport {
-            rows,
-            users: state.users,
-            failures: state.failures,
-        }
-    }
-
-    /// Look up a row by name.
-    pub fn row(&self, name: &str) -> Option<&StreamRow> {
-        self.rows.iter().find(|r| r.name == name)
-    }
-
-    /// Render as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<20} {:>12} {:>12} {:>10} {:>28}\n",
-            "Metric", "Control", "Treatment", "% Chg", "Paired mean [95% CI]"
-        ));
-        for r in &self.rows {
-            let paired = if r.paired.mean_delta_pct.is_nan() {
-                "n/a".to_string()
-            } else if r.paired.significant() {
-                format!(
-                    "{:+.3}% [{:+.3}, {:+.3}]",
-                    r.paired.mean_delta_pct, r.paired.ci_low, r.paired.ci_high
-                )
-            } else {
-                format!("–  [{:+.3}, {:+.3}]", r.paired.ci_low, r.paired.ci_high)
-            };
-            let chg = if r.pct_change.is_nan() {
-                "n/a".to_string()
-            } else {
-                format!("{:+.2}%", r.pct_change)
-            };
-            out.push_str(&format!(
-                "{:<20} {:>12.4} {:>12.4} {:>10} {:>28}\n",
-                r.name, r.control, r.treatment, chg, paired
-            ));
-        }
-        out.push_str(&format!(
-            "users: {}   failures: {}\n",
-            self.users, self.failures
-        ));
-        out
-    }
+/// Run both arms for user `index` behind a panic boundary. A panic leaves
+/// the user's partial registry in the worker's thread-local; the next
+/// run_user_pair replaces it, so failed users contribute no telemetry.
+fn run_guarded(
+    user: &UserProfile,
+    index: usize,
+    control: Arm,
+    treatment: Arm,
+    cfg: &ExperimentConfig,
+) -> UserOutcome {
+    catch_unwind(AssertUnwindSafe(|| {
+        run_user_pair(user, control, treatment, cfg)
+    }))
+    .map_err(|payload| UserFailure {
+        user: user.id,
+        index: index as u64,
+        message: panic_message(&*payload).to_string(),
+    })
 }
 
 /// Run one shard: fold users `[shard·size, (shard+1)·size)` in index
-/// order, isolating per-user panics exactly like the collecting runner.
+/// order, isolating per-user panics.
 fn compute_shard(
     population: &Population<'_>,
     shard: usize,
@@ -788,31 +728,21 @@ fn compute_shard(
     control: Arm,
     treatment: Arm,
     cfg: &ExperimentConfig,
-    reps: usize,
 ) -> ShardState {
-    let mut state = ShardState::new(reps);
+    let mut state = ShardState::new(cfg.bootstrap_reps);
     let lo = shard * shard_size;
     let hi = ((shard + 1) * shard_size).min(population.len());
     for index in lo..hi {
         let user = population.get(index);
-        // A panic leaves the user's partial registry in the worker's
-        // thread-local; the next run_user_pair replaces it, so failed
-        // users contribute no telemetry (same policy as the collecting
-        // runner).
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_user_pair(&user, control, treatment, cfg)
-        }));
-        match result {
-            Ok(((c, t), mut registry)) => {
+        match run_guarded(&user, index, control, treatment, cfg) {
+            Ok((pair, mut registry)) => {
                 // Wall spans are wall-clock and therefore nondeterministic
                 // by design (DESIGN.md §13); the shard state is part of the
                 // bit-identity contract, so they stop here.
                 registry.clear_wall_spans();
-                state.fold_user(cfg.seed, user.id, &c, &t, &registry)
+                state.fold_user(cfg.seed, user.id, &pair, &registry)
             }
-            Err(payload) => {
-                state.record_failure(user.id, index as u64, panic_message(&*payload).to_string())
-            }
+            Err(failure) => state.record_failure(failure),
         }
     }
     state
@@ -842,14 +772,23 @@ fn write_progress_line(
         .map_err(|e| SimError::Io(format!("append progress line: {e}")))
 }
 
-/// The streaming shard-merge runner (entry:
-/// [`crate::experiment::ExperimentBuilder::run_streaming`]).
+/// The shard-merge runner behind both entry points.
+///
+/// [`run_streaming`](crate::experiment::ExperimentBuilder::run_streaming)
+/// passes `records: None`: shards of `stream.shard_size` users fold into
+/// accumulators, at most `2 × threads` shards ahead of the merger.
+/// [`run`](crate::experiment::ExperimentBuilder::run) passes the run to
+/// fill, which makes this the record-keeping pass: one user per shard, a
+/// window over the whole population, and every user's records and
+/// registry (or failure) appended to `records` in population order; no
+/// accumulator is folded, so the returned state stays empty.
 pub(crate) fn run_stream_impl(
     population: &Population<'_>,
     control: Arm,
     treatment: Arm,
     cfg: &ExperimentConfig,
     stream: &StreamConfig,
+    mut records: Option<&mut ExperimentRun>,
 ) -> Result<StreamRun, SimError> {
     if stream.resume && stream.checkpoint_dir.is_none() {
         return Err(SimError::InvalidConfig {
@@ -858,7 +797,12 @@ pub(crate) fn run_stream_impl(
         });
     }
     let users = population.len();
-    let shard_size = stream.shard_size.max(1);
+    let keep_records = records.is_some();
+    let shard_size = if keep_records {
+        1
+    } else {
+        stream.shard_size.max(1)
+    };
     let shards = users.div_ceil(shard_size);
     let reps = cfg.bootstrap_reps;
     let config_fp = config_fingerprint(population, control, treatment, cfg, shard_size);
@@ -901,21 +845,44 @@ pub(crate) fn run_stream_impl(
 
     if start_shard < shards {
         let threads = worker_count(cfg.threads, shards - start_shard);
-        let window = match stream.max_pending_shards {
-            0 => threads * 2,
-            n => n,
+        let window = if keep_records {
+            shards - start_shard
+        } else {
+            2 * threads
         };
         fold_ordered(
             start_shard..shards,
             threads,
             window,
-            |shard| compute_shard(population, shard, shard_size, control, treatment, cfg, reps),
-            |k, state| -> Result<_, SimError> {
-                // compute_shard isolates per-user panics, so a shard-level
-                // one is a runner bug, not a bad user.
-                let state =
-                    state.map_err(|m| SimError::Experiment(format!("shard {k} panicked: {m}")))?;
-                global.merge(&state);
+            |shard| {
+                if keep_records {
+                    let user = population.get(shard);
+                    ShardOut::Kept(run_guarded(&user, shard, control, treatment, cfg))
+                } else {
+                    ShardOut::Folded(compute_shard(
+                        population, shard, shard_size, control, treatment, cfg,
+                    ))
+                }
+            },
+            |k, out| -> Result<_, SimError> {
+                // Users are isolated behind run_guarded, so a shard-level
+                // panic is a runner bug, not a bad user.
+                let out =
+                    out.map_err(|m| SimError::Experiment(format!("shard {k} panicked: {m}")))?;
+                match out {
+                    ShardOut::Folded(state) => global.merge(&state),
+                    ShardOut::Kept(user) => {
+                        let run = records.as_deref_mut().expect("kept only when recording");
+                        match user {
+                            Ok(((c, t), registry)) => {
+                                run.control.sessions.extend(c);
+                                run.treatment.sessions.extend(t);
+                                run.metrics.merge(&registry);
+                            }
+                            Err(failure) => run.failures.push(failure),
+                        }
+                    }
+                }
                 merged_shards = k + 1;
                 if let Some(f) = progress.as_mut() {
                     write_progress_line(f, k + 1, shards, &global)?;
@@ -926,7 +893,7 @@ pub(crate) fn run_stream_impl(
                         && merged_here.is_multiple_of(stream.checkpoint_every);
                     let last = k + 1 == shards;
                     if due || last {
-                        write_checkpoint(dir, config_fp, k + 1, &global, stream.keep_checkpoints)?;
+                        write_checkpoint(dir, config_fp, k + 1, &global)?;
                         checkpoints_written += 1;
                         if stream
                             .abort_after_checkpoints
@@ -1031,7 +998,11 @@ mod tests {
             }
             st.users += 1;
         }
-        st.record_failure(99, 99, "boom".into());
+        st.record_failure(UserFailure {
+            user: 99,
+            index: 99,
+            message: "boom".into(),
+        });
         let mut buf = Vec::new();
         st.encode(&mut buf);
         let mut r = Reader::new(&buf);
@@ -1048,7 +1019,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sammy-ckpt-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let state = ShardState::new(5);
-        write_checkpoint(&dir, 0xFEED, 3, &state, 2).unwrap();
+        write_checkpoint(&dir, 0xFEED, 3, &state).unwrap();
         let path = checkpoint_path(&dir, 3);
         let (_, next_shard) = load_checkpoint(&path, 0xFEED, 5).unwrap();
         assert_eq!(next_shard, 3);
@@ -1088,7 +1059,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let state = ShardState::new(2);
         for k in 1..=5 {
-            write_checkpoint(&dir, 1, k, &state, 2).unwrap();
+            write_checkpoint(&dir, 1, k, &state).unwrap();
         }
         let files = list_checkpoints(&dir).unwrap();
         let shards: Vec<usize> = files.iter().map(|&(_, s)| s).collect();

@@ -5,8 +5,9 @@
 //! several rounds of A/B tests; the published artifact is the tradeoff
 //! curve itself, which a deterministic sweep reproduces.
 
-use crate::experiment::{Arm, Experiment, ExperimentConfig};
+use crate::experiment::{Arm, Experiment, ExperimentConfig, METRICS};
 use crate::population::UserProfile;
+use crate::stats::paired_point;
 use netsim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -79,8 +80,9 @@ pub fn run_sweep(
         .collect()
 }
 
-/// Run Sammy at `(c0, c1)` against production on `population` and read
-/// the report's four percent changes (NaN where a change is undefined).
+/// Run Sammy at `(c0, c1)` against production on `population` and take
+/// four of the report's percent changes (NaN where a change is undefined)
+/// — the report's point estimates, without the bootstrap behind its CIs.
 /// One arm of the sweep, and one evaluation of the parameter search.
 pub(crate) fn measure(
     population: &[UserProfile],
@@ -94,12 +96,14 @@ pub(crate) fn measure(
         .treatment(Arm::Sammy { c0, c1 })
         .config(cfg.clone())
         .run()?;
-    let report = run.report(cfg.bootstrap_reps, cfg.seed);
     let get = |name: &str| {
-        report
-            .row(name)
-            .map(|r| r.change.pct_change)
-            .unwrap_or(f64::NAN)
+        let &(_, agg, f) = METRICS
+            .iter()
+            .find(|m| m.0 == name)
+            .expect("a Table 2 metric");
+        let c = run.control.metric_by_user(f);
+        let t = run.treatment.metric_by_user(f);
+        paired_point(&c, &t, agg).pct_change
     };
     Ok(SweepPoint {
         c0,

@@ -7,10 +7,24 @@
 //! attributable to the run must not grow with the population. The
 //! collecting runner, by contrast, must grow — that contrast keeps the
 //! test honest about what it measures.
+//!
+//! The allocator is process-wide and the test harness runs tests on
+//! parallel threads, so each test holds [`MEASURING`] for its whole run:
+//! one test's allocations never land in the other's peak.
 
 use abtest::{Arm, Experiment, ExperimentConfig, PopulationConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by whichever test is measuring.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Take the measurement lock (a failed test poisons it; the next one may
+/// still measure).
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A [`System`] wrapper tracking live and peak heap bytes.
 struct CountingAlloc {
@@ -120,6 +134,7 @@ fn collecting_peak(users: usize) -> usize {
 
 #[test]
 fn streaming_peak_memory_is_flat_in_population_size() {
+    let _measuring = measuring();
     // Warm up process-wide one-time allocations (interned names, lazy
     // statics, thread stacks' heap side) so they don't bias the small run.
     let _ = streaming_peak(32);
@@ -139,6 +154,7 @@ fn streaming_peak_memory_is_flat_in_population_size() {
 
 #[test]
 fn collecting_runner_grows_with_population_proving_the_measurement() {
+    let _measuring = measuring();
     // The same measurement applied to the collecting runner must show
     // clear growth — otherwise the flat-streaming assertion above would
     // be vacuous (e.g. if peaks were dominated by transients).

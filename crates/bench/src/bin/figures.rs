@@ -12,6 +12,7 @@
 //!
 //! Text output goes to stdout; CSV files go to `results/`.
 
+use abtest::Report;
 use netsim::SimDuration;
 use sammy_bench::ablation;
 use sammy_bench::figures;
@@ -79,12 +80,24 @@ fn main() {
         match t.as_str() {
             "fig1" => fig1(),
             "fig2" => fig2(),
-            "table2" => table2(scale, threads),
+            "table2" => ab_table(
+                "Table 2: Sammy (c0=3.2, c1=2.8) vs production A/B",
+                "table2.csv",
+                figures::table2(scale, SEED, threads),
+            ),
             "fig3" => fig3(scale, threads),
             "fig4" => fig4(),
             "fig5" => fig5(scale, threads),
-            "table3" => table3(scale, threads),
-            "baseline" => baseline(scale, threads),
+            "table3" => ab_table(
+                "Table 3: initial-phase changes only (no pacing) vs production A/B",
+                "table3.csv",
+                figures::table3(scale, SEED, threads),
+            ),
+            "baseline" => ab_table(
+                "Sec 5.5 baseline: constant 4x pacing on all chunks vs production A/B",
+                "baseline_4x.csv",
+                figures::baseline_4x(scale, SEED, threads),
+            ),
             "fig6" => fig6(scale, threads),
             "fig7" => fig7(),
             "fig8a" => fig8a(),
@@ -168,9 +181,9 @@ fn fig2() {
     );
 }
 
-fn table2(scale: f64, threads: usize) {
-    banner("Table 2: Sammy (c0=3.2, c1=2.8) vs production A/B");
-    let report = figures::table2(scale, SEED, threads);
+/// Print an A/B report and write it as `results/<csv>`.
+fn ab_table(title: &str, csv: &str, report: Report) {
+    banner(title);
     print!("{}", report.render());
     let rows: Vec<String> = report
         .rows
@@ -191,65 +204,7 @@ fn table2(scale: f64, threads: usize) {
         })
         .collect();
     save_csv(
-        "table2.csv",
-        "metric,control,treatment,pct_change,ci_low,ci_high,paired_mean,paired_lo,paired_hi",
-        &rows,
-    );
-}
-
-fn table3(scale: f64, threads: usize) {
-    banner("Table 3: initial-phase changes only (no pacing) vs production A/B");
-    let report = figures::table3(scale, SEED, threads);
-    print!("{}", report.render());
-    let rows: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{:.6},{:.6},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4}",
-                r.name,
-                r.change.control,
-                r.change.treatment,
-                r.change.pct_change,
-                r.change.ci_low,
-                r.change.ci_high,
-                r.paired.mean_delta_pct,
-                r.paired.ci_low,
-                r.paired.ci_high
-            )
-        })
-        .collect();
-    save_csv(
-        "table3.csv",
-        "metric,control,treatment,pct_change,ci_low,ci_high,paired_mean,paired_lo,paired_hi",
-        &rows,
-    );
-}
-
-fn baseline(scale: f64, threads: usize) {
-    banner("Sec 5.5 baseline: constant 4x pacing on all chunks vs production A/B");
-    let report = figures::baseline_4x(scale, SEED, threads);
-    print!("{}", report.render());
-    let rows: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{:.6},{:.6},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4}",
-                r.name,
-                r.change.control,
-                r.change.treatment,
-                r.change.pct_change,
-                r.change.ci_low,
-                r.change.ci_high,
-                r.paired.mean_delta_pct,
-                r.paired.ci_low,
-                r.paired.ci_high
-            )
-        })
-        .collect();
-    save_csv(
-        "baseline_4x.csv",
+        csv,
         "metric,control,treatment,pct_change,ci_low,ci_high,paired_mean,paired_lo,paired_hi",
         &rows,
     );

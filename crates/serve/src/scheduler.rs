@@ -226,14 +226,14 @@ fn run_result_doc(id: &str, run: &StreamRun) -> Value {
         .iter()
         .map(|r| {
             json::obj(vec![
-                ("name", Value::Str(r.name.to_string())),
+                ("name", Value::Str(r.name.clone())),
                 (
                     "agg",
                     Value::Str(format!("{:?}", r.agg).to_ascii_lowercase()),
                 ),
-                ("control", Value::Num(r.control)),
-                ("treatment", Value::Num(r.treatment)),
-                ("pct_change", Value::Num(r.pct_change)),
+                ("control", Value::Num(r.change.control)),
+                ("treatment", Value::Num(r.change.treatment)),
+                ("pct_change", Value::Num(r.change.pct_change)),
                 (
                     "paired",
                     json::obj(vec![

@@ -243,3 +243,38 @@ fn killed_search_resumes_bit_identical() {
         Some(true)
     );
 }
+
+/// `result.json` of [`RUN_SPEC`], byte for byte but for the fingerprint.
+/// The resume batteries compare a run only with itself, so this is what
+/// pins the document's field names, order and number formatting.
+const RUN_RESULT: &str = concat!(
+    r#"{"id":"r0001","users":8,"failures":0,"shards":2,"fingerprint":"<fingerprint>","rows":["#,
+    r#"{"name":"Chunk Throughput","agg":"median","control":6.67213765132799,"treatment":6.67213765132799,"pct_change":0,"paired":{"mean_delta_pct":-29.92320682865239,"ci_low":-51.92906901601196,"ci_high":0},"control_count":8,"treatment_count":8},"#,
+    r#"{"name":"% Retransmits","agg":"median","control":1.070712147070886,"treatment":1.070712147070886,"pct_change":0,"paired":{"mean_delta_pct":-5.809147010039446,"ci_low":-10.797395641674484,"ci_high":-1.7308354707775382},"control_count":8,"treatment_count":8},"#,
+    r#"{"name":"RTT","agg":"median","control":39.734646,"treatment":38.168727000000004,"pct_change":-3.9409411121971343,"paired":{"mean_delta_pct":-2.2778735994991495,"ci_low":-4.846124322454329,"ci_high":0},"control_count":8,"treatment_count":8},"#,
+    r#"{"name":"Initial VMAF","agg":"median","control":68.84974391729261,"treatment":68.84974391729261,"pct_change":0,"paired":{"mean_delta_pct":0,"ci_low":0,"ci_high":0},"control_count":8,"treatment_count":8},"#,
+    r#"{"name":"VMAF","agg":"median","control":71.01404824315978,"treatment":71.01404824315978,"pct_change":0,"paired":{"mean_delta_pct":0,"ci_low":0,"ci_high":0},"control_count":8,"treatment_count":8},"#,
+    r#"{"name":"Play Delay","agg":"median","control":2.1656999189999997,"treatment":2.1656999189999997,"pct_change":0,"paired":{"mean_delta_pct":0,"ci_low":0,"ci_high":0},"control_count":8,"treatment_count":8},"#,
+    r#"{"name":"Rebuffers (% sess)","agg":"mean","control":0,"treatment":0,"pct_change":null,"paired":{"mean_delta_pct":null,"ci_low":null,"ci_high":null},"control_count":8,"treatment_count":8},"#,
+    r#"{"name":"Rebuffers (/ hr)","agg":"mean","control":0,"treatment":0,"pct_change":null,"paired":{"mean_delta_pct":null,"ci_low":null,"ci_high":null},"control_count":8,"treatment_count":8}]}"#,
+);
+
+/// The state fingerprint in [`RUN_RESULT`]: it covers the merged telemetry
+/// registry, which is empty unless the runner stack is built with `obs`
+/// (default build, then `obs`).
+const RUN_FINGERPRINTS: [&str; 2] = ["f122b66698202738", "87cf2884e7ffaeaf"];
+
+#[test]
+fn run_result_json_is_pinned() {
+    let dir = tmp_dir("pin");
+    let daemon = Daemon::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    let (code, body) = post(&daemon, "/runs", RUN_SPEC);
+    assert_eq!(code, 201, "{body}");
+    wait_for(&daemon, "/runs/r0001", JobState::Done);
+    daemon.stop();
+    let got = std::fs::read_to_string(dir.join("runs/r0001/result.json")).unwrap();
+    let doc = json::parse(&got).unwrap();
+    let fp = doc.get("fingerprint").and_then(Value::as_str).unwrap();
+    assert!(RUN_FINGERPRINTS.contains(&fp), "fingerprint {fp}");
+    assert_eq!(got.replacen(fp, "<fingerprint>", 1), RUN_RESULT);
+}

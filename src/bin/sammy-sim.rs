@@ -375,9 +375,6 @@ fn stream(opts: &Opts) {
         spec.users_per_arm
     );
     print!("{}", run.report().render());
-    if run.state.failures > 0 {
-        println!("failed user-pairs: {}", run.state.failures);
-    }
     println!("state fingerprint: {:016x}", run.fingerprint());
     // Fold the streamed telemetry into this process's registry so
     // `--metrics` sees it.

@@ -29,8 +29,8 @@ pub use video;
 pub mod prelude {
     pub use abtest::{
         draw_population, draw_population_indexed, Arm, Experiment, ExperimentBuilder,
-        ExperimentConfig, ExperimentRun, Population, PopulationConfig, Report, StreamReport,
-        StreamRun, UserProfile,
+        ExperimentConfig, ExperimentRun, Population, PopulationConfig, Report, StreamRun,
+        UserProfile,
     };
     pub use fluidsim::{FluidConfig, NetworkProfile, SessionBuilder, SessionOutcome};
     pub use netsim::{Rate, SimDuration, SimError, SimTime};
