@@ -24,12 +24,11 @@
 
 use netsim::Rate;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use video::{Abr, AbrContext, AbrDecision, ChunkMeasurement, PlayerPhase};
 
 /// Which samples update the historical store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistoryPolicy {
     /// All chunk measurements update history (production behaviour).
     AllSamples,
@@ -39,7 +38,7 @@ pub enum HistoryPolicy {
 
 /// A per-device store of historical throughput: per-session medians,
 /// EWMA-smoothed across sessions, with a session-count confidence ramp.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HistoryStore {
     estimate_bps: Option<f64>,
     /// Cross-session EWMA weight on the newest session.

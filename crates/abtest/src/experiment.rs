@@ -20,12 +20,11 @@ use abr::{
 use fluidsim::{FluidConfig, SessionBuilder, SessionOutcome};
 use netsim::{SimDuration, SimError};
 use sammy_core::{NaivePacedAbr, PaceSelector, Sammy, SammyConfig};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use video::Abr;
 
 /// An experiment arm: which algorithm variant users run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arm {
     /// The production algorithm: MPC playing phase, all-samples history,
     /// no pacing.
@@ -526,8 +525,9 @@ impl<'p> ExperimentBuilder<'p> {
 
     /// Directory for streaming-run checkpoints (none by default). Each
     /// checkpoint is the full merged state after a prefix of shards;
-    /// writes are atomic (tmp + rename) and the previous checkpoint is
-    /// retained, so a torn write can always fall back.
+    /// writes are atomic and synced ([`crate::write_atomic`]) and the
+    /// previous checkpoint is retained, so a torn write can always fall
+    /// back.
     pub fn checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.stream.checkpoint_dir = Some(dir.into());
         self
@@ -698,7 +698,7 @@ fn run_serial_impl(
 }
 
 /// One row of a Table 2 / Table 3 style report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricRow {
     /// Metric name as the table prints it.
     pub name: String,

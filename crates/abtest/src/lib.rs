@@ -55,5 +55,5 @@ pub use stats::{
     compare_paired, mean, median, paired_delta, percentile, Aggregate, PairedDelta, PercentChange,
     StreamingStat,
 };
-pub use streaming::{MetricAcc, ShardState, StreamConfig, StreamRun};
+pub use streaming::{write_atomic, MetricAcc, ShardState, StreamConfig, StreamRun};
 pub use sweep::{default_grid, run_sweep, SweepPoint};

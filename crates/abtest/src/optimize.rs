@@ -16,7 +16,6 @@ use crate::experiment::{population_config_from_spec, ExperimentConfig};
 use crate::population::{PopulationConfig, UserProfile};
 use crate::streaming::mix2;
 use netsim::SimError;
-use serde::{Deserialize, Serialize};
 
 /// Constraints an acceptable arm must satisfy (percent-change bounds vs
 /// control, from the median statistic).
@@ -52,7 +51,7 @@ impl From<&spec::GuardSpec> for QoeGuards {
 }
 
 /// One evaluated candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Pace multiplier at empty buffer.
     pub c0: f64,

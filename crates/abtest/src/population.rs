@@ -11,7 +11,6 @@
 use fluidsim::NetworkProfile;
 use netsim::{Rate, SimDuration};
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
 use video::{Ladder, Title, TitleConfig, VmafModel};
 
 /// The pre-experiment throughput buckets of Fig 3 (Mbps boundaries).
@@ -43,7 +42,7 @@ pub fn bucket_of(mbps: f64) -> usize {
 }
 
 /// Population-level distribution parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopulationConfig {
     /// Capacity-range weights for the five buckets (need not sum to 1).
     pub bucket_weights: [f64; 5],

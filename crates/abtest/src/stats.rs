@@ -7,7 +7,6 @@
 //! seeded percentile bootstrap.
 
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Median of a slice (NaN if empty). Does not require sorted input.
 pub fn median(values: &[f64]) -> f64 {
@@ -63,7 +62,7 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 }
 
 /// How an arm-level statistic is computed from per-session values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregate {
     /// Median over sessions (the paper's default).
     Median,
@@ -83,7 +82,7 @@ impl Aggregate {
 }
 
 /// A percent-change comparison with a bootstrap confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PercentChange {
     /// Control-arm statistic.
     pub control: f64,
@@ -212,7 +211,7 @@ pub(crate) fn paired_point(
 /// a discrete metric (e.g. VMAF, which takes ladder-rung values) ties at
 /// zero under small effects, while the paired mean resolves sub-percent
 /// shifts — the scale of the paper's QoE movements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairedDelta {
     /// Mean of per-session `(t − c)/c × 100` over all pairs.
     pub mean_delta_pct: f64,
@@ -307,7 +306,7 @@ pub fn paired_delta(
 /// bit-identical across merge orders. For bit-identical reports the runner
 /// keeps full session lists; `StreamingStat` is the bounded-memory path for
 /// large sweeps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamingStat {
     digest: tdigest::TDigest,
     count: u64,

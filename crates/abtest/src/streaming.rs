@@ -36,12 +36,12 @@
 //! decodes the state (bit-exact; see [`tdigest::wire`]) and continues at
 //! shard `K`, replaying the identical merge sequence, so a run killed at
 //! any checkpoint boundary finishes byte-identical to one that never died.
-//! Writes are atomic (tmp + rename), files carry an FNV-1a checksum and a
-//! config fingerprint, and the previous checkpoint is retained: a torn
-//! write is detected and skipped (with a note in
-//! [`StreamRun::fallback_notes`]), a config mismatch is a hard error, and
-//! an all-corrupt directory fails with [`SimError::Checkpoint`] — never a
-//! silent wrong answer.
+//! Writes go through [`write_atomic`] (tmp + `sync_all` + rename), files
+//! carry an FNV-1a checksum and a config fingerprint, and the previous
+//! checkpoint is retained: a torn write is detected and skipped (with a
+//! note in [`StreamRun::fallback_notes`]), a config mismatch is a hard
+//! error, and an all-corrupt directory fails with [`SimError::Checkpoint`]
+//! — never a silent wrong answer.
 
 use crate::experiment::{
     run_user_pair, Arm, ExperimentConfig, ExperimentRun, MetricRow, Report, UserFailure,
@@ -520,14 +520,7 @@ fn write_checkpoint(
     h.write(&buf);
     wire::put_u64(&mut buf, h.finish());
 
-    let tmp = dir.join(format!("ckpt-{next_shard:010}.tmp"));
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, checkpoint_path(dir, next_shard))?;
+    write_atomic(&checkpoint_path(dir, next_shard), &buf)?;
 
     let mut files = list_checkpoints(dir)?;
     while files.len() > KEEP_CHECKPOINTS {
@@ -535,6 +528,24 @@ fn write_checkpoint(
         let _ = std::fs::remove_file(path);
     }
     Ok(())
+}
+
+/// Durably replace the file at `path` with `bytes`: write a sibling
+/// `.tmp` file, `sync_all` it, then rename it over `path`. A kill at any
+/// point leaves the old file or the new one, never a torn half, and the
+/// rename never reaches the disk ahead of the data. Checkpoints and the
+/// daemon's job files are all written through this one function.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SimError> {
+    use std::io::Write;
+    let tmp = path.with_extension("tmp");
+    let fail = |what: &str, p: &Path, e: std::io::Error| {
+        SimError::Io(format!("{what} {}: {e}", p.display()))
+    };
+    let mut f = std::fs::File::create(&tmp).map_err(|e| fail("create", &tmp, e))?;
+    f.write_all(bytes).map_err(|e| fail("write", &tmp, e))?;
+    f.sync_all().map_err(|e| fail("sync", &tmp, e))?;
+    drop(f);
+    std::fs::rename(&tmp, path).map_err(|e| fail("rename", path, e))
 }
 
 /// Validate and decode one checkpoint file.
@@ -1064,6 +1075,29 @@ mod tests {
         let files = list_checkpoints(&dir).unwrap();
         let shards: Vec<usize> = files.iter().map(|&(_, s)| s).collect();
         assert_eq!(shards, vec![4, 5]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_atomic_replaces_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("sammy-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("status.json");
+        write_atomic(&path, b"old").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec!["status.json"]);
+        // A missing directory is a typed I/O error naming the file.
+        let err = write_atomic(&dir.join("gone").join("x.json"), b"x").unwrap_err();
+        assert!(
+            matches!(&err, SimError::Io(m) if m.contains("x.tmp")),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

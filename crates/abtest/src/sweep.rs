@@ -9,10 +9,9 @@ use crate::experiment::{Arm, Experiment, ExperimentConfig, METRICS};
 use crate::population::UserProfile;
 use crate::stats::paired_point;
 use netsim::SimError;
-use serde::{Deserialize, Serialize};
 
 /// One sweep point: a Sammy parameter setting and its measured changes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Pace multiplier at empty buffer.
     pub c0: f64,

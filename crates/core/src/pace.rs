@@ -17,10 +17,9 @@
 
 use crate::analysis::min_throughput_for_bitrate;
 use netsim::Rate;
-use serde::{Deserialize, Serialize};
 
 /// The `(c0, c1)` pace-multiplier configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaceSelector {
     /// Multiplier at an empty buffer.
     pub c0: f64,

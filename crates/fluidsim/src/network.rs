@@ -17,10 +17,9 @@
 
 use netsim::{Rate, SimDuration};
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Per-user network characteristics.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetworkProfile {
     /// Bottleneck capacity available to the video session.
     pub capacity: Rate,

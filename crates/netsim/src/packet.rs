@@ -8,23 +8,22 @@
 
 use crate::time::SimTime;
 use crate::units::HEADER_BYTES;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Identifies a node (host or router) in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// Identifies a unidirectional link in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 /// Identifies a flow (a transport connection or datagram stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
 
 /// What a packet carries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Payload {
     /// A transport data segment covering bytes `[offset, offset + len)` of
     /// its flow. `retx` marks retransmissions; `round` is an opaque
@@ -127,7 +126,7 @@ impl Payload {
 }
 
 /// A packet in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Originating node.
     pub src: NodeId,

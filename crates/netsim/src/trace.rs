@@ -6,11 +6,10 @@
 //! counters.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Accumulates byte counts into fixed-width time bins, yielding a throughput
 /// timeseries (the "chunk throughput" traces of Figs 1 and 7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinnedThroughput {
     bin: SimDuration,
     bytes: Vec<u64>,
@@ -81,7 +80,7 @@ impl BinnedThroughput {
 
 /// A time-stamped series of instantaneous values (RTT samples, queue depth,
 /// buffer level).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GaugeSeries {
     points: Vec<(SimTime, f64)>,
 }

@@ -5,12 +5,11 @@
 //! which is the single conversion every part of the simulator needs.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
 /// A data rate in bits per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Rate(f64);
 
 impl Rate {

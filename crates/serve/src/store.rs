@@ -16,15 +16,17 @@
 //! ```
 //!
 //! Everything the daemon writes except the two `.jsonl` append logs goes
-//! through [`write_atomic`] (tmp + rename), so a kill mid-write leaves
-//! either the old file or the new one, never a torn half. IDs are
+//! through [`abtest::write_atomic`] (tmp + `sync_all` + rename, the same
+//! writer as the runner's checkpoints), so a kill mid-write leaves either
+//! the old file or the new one, never a torn half. IDs are
 //! sequential (`r0001`, `s0001`, …) and allocation is serialized by the
 //! daemon's state lock, so a runs-dir replays in submission order after a
 //! restart.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+use abtest::write_atomic;
 use netsim::SimError;
 use spec::json::{self, Value};
 
@@ -215,12 +217,4 @@ impl Store {
             doc.to_string().as_bytes(),
         )
     }
-}
-
-/// Write a file via tmp + rename so readers never observe a torn write.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SimError> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes).map_err(|e| SimError::Io(format!("write {}: {e}", tmp.display())))?;
-    fs::rename(&tmp, path).map_err(|e| SimError::Io(format!("rename {}: {e}", path.display())))?;
-    Ok(())
 }

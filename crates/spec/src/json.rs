@@ -1,8 +1,7 @@
 //! A minimal hand-rolled JSON codec.
 //!
-//! The workspace's serde is an offline no-op shim (marker traits, empty
-//! derives), so the spec types carry their own wire format, the same way
-//! `tdigest::wire` hand-rolls the checkpoint codec. The subset here is
+//! The tree has no serde backend, so the spec types carry their own wire
+//! format, the same way `tdigest::wire` hand-rolls the checkpoint codec. The subset here is
 //! full JSON minus nothing we need: objects keep insertion order, numbers
 //! are `f64`, and the writer is deterministic — the same [`Value`] always
 //! renders to the same bytes, which is what lets the serve daemon compare

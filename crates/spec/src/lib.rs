@@ -1,12 +1,12 @@
-//! Experiment specifications: one serde-round-trippable schema shared by
+//! Experiment specifications: one JSON-round-trippable schema shared by
 //! the `sammy-serve` HTTP API, the `sammy-sim` CLI, and the bench
 //! harnesses.
 //!
 //! Before this crate, `LabConfig`, `TcpConfig`, `ExperimentConfig`, and the
 //! CLI's string-matched flags each re-declared overlapping fields; every
 //! consumer now builds its config *from* these types. JSON is the wire
-//! format (see [`json`] — the serde shim is a no-op, so the codec is
-//! hand-rolled), with three schema rules applied uniformly:
+//! format, read and written by the hand-rolled codec in [`json`] (the
+//! tree has no serde backend), with three schema rules applied uniformly:
 //!
 //! - **unknown fields are rejected** (`deny_unknown_fields` semantics): a
 //!   typo in a submitted spec is a 4xx, never a silently-defaulted run;
@@ -20,7 +20,6 @@ pub mod json;
 
 use json::{obj, Value};
 use netsim::{DumbbellConfig, Rate, SimDuration, SimError};
-use serde::{Deserialize, Serialize};
 use transport::{CcAlgorithm, Protocol};
 
 fn unknown_field(
@@ -96,7 +95,7 @@ fn get_string(what: &'static str, v: &Value, key: &str, default: &str) -> Result
 }
 
 /// Wire protocol + congestion control + pacing burst for the video sender.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportSpec {
     /// Wire protocol (`"tcp"` or `"quic"`).
     pub protocol: Protocol,
@@ -160,7 +159,7 @@ impl TransportSpec {
 }
 
 /// Bottleneck network shape for lab (dumbbell) experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkSpec {
     /// Bottleneck rate in Mbps.
     pub rate_mbps: f64,
@@ -232,7 +231,7 @@ impl NetworkSpec {
 
 /// Which algorithm variant an arm runs — the spec-level mirror of
 /// `abtest::Arm` (tagged by `kind` on the wire).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArmSpec {
     /// Production MPC, all-samples history, no pacing.
     Production,
@@ -316,7 +315,7 @@ impl ArmSpec {
 /// A complete A/B experiment: arms, population sizing, seeds, and the
 /// network/transport substrate. The single source of truth consumed by
 /// `POST /runs`, `sammy-sim`, and `bench::{lab,matrix}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Human-readable experiment name (labels reports and run dirs).
     pub name: String,
@@ -450,7 +449,7 @@ impl ExperimentSpec {
 
 /// QoE guardrails a candidate arm must satisfy (percent-change bounds vs
 /// control) — the spec-level mirror of `abtest::optimize::QoeGuards`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardSpec {
     /// Lowest acceptable VMAF change (%).
     pub min_vmaf_pct: f64,
@@ -500,7 +499,7 @@ impl GuardSpec {
 }
 
 /// One `(c0, c1)` candidate point in a search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArmPoint {
     /// Pace multiplier at empty buffer.
     pub c0: f64,
@@ -544,7 +543,7 @@ impl ArmPoint {
 
 /// A successive-halving `(c0, c1)` search: candidate arms, rung sizing,
 /// QoE guards, and the base experiment every evaluation derives from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpec {
     /// Human-readable search name.
     pub name: String,

@@ -25,13 +25,11 @@
 //! assert!(median > 5.0 && median < 7.0);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 pub mod wire;
 
 /// A single centroid: a weighted point summarizing `weight` samples whose
 /// mean is `mean`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Centroid {
     /// Mean of the samples merged into this centroid.
     pub mean: f64,
@@ -44,7 +42,7 @@ pub struct Centroid {
 /// Values are buffered and periodically compressed into centroids using the
 /// scale function `k(q) = δ/2π · asin(2q − 1)`, which bounds each centroid's
 /// quantile span and keeps tails fine-grained.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TDigest {
     compression: f64,
     centroids: Vec<Centroid>,

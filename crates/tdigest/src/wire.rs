@@ -1,9 +1,9 @@
 //! A tiny length-checked binary codec shared by the checkpoint formats.
 //!
-//! The workspace's `serde` is an offline no-op shim (there is no JSON or
-//! bincode backend in the tree), so anything that must survive a process
-//! boundary — experiment checkpoints, telemetry snapshots — serializes by
-//! hand through this module. The encoding is deliberately boring:
+//! The tree has no serialization framework (no serde, JSON or bincode
+//! backend), so anything that must survive a process boundary —
+//! experiment checkpoints, telemetry snapshots — serializes by hand
+//! through this module. The encoding is deliberately boring:
 //! little-endian fixed-width integers, `f64` as raw IEEE-754 bits (so
 //! round-trips are bit-exact, which the resume-equivalence guarantee
 //! depends on), and length-prefixed byte strings. Every read is bounds-

@@ -18,19 +18,23 @@ use netsim::{
     SimDuration, SimTime,
 };
 
-/// Timer token used by sender endpoints for all wakeups.
+/// Timer token of a single-flow sender endpoint (slot 0 of a
+/// [`MultiSenderEndpoint`](crate::MultiSenderEndpoint)).
 const TICK: u64 = 1;
 
 /// A server endpoint: one transport sender serving transfer requests.
+///
+/// This is the one event loop every sender host runs:
+/// [`MultiSenderEndpoint`](crate::MultiSenderEndpoint) demultiplexes flows
+/// over several of these, and `traffic::BulkSender` wraps one.
 pub struct SenderEndpoint {
     sender: TransportSender,
     /// Completed transfers drained from the sender after each event.
     pub completed: Vec<CompletedTransfer>,
     /// Smoothed-RTT samples over time (ms), recorded on each ACK.
     pub rtt_trace: GaugeSeries,
-    /// Map from request id to transfer id (they coincide in practice but we
-    /// keep the mapping explicit).
-    requests_served: u64,
+    /// Token this endpoint's wakeup timers carry.
+    token: u64,
     /// Earliest outstanding timer, for deduplication: engine timers are not
     /// cancellable, so without this every ACK would arm a fresh immortal
     /// timer chain and event counts would grow quadratically.
@@ -40,32 +44,49 @@ pub struct SenderEndpoint {
 impl SenderEndpoint {
     /// Create a sender endpoint for a flow from `local` to `remote`.
     pub fn new(local: NodeId, remote: NodeId, flow: FlowId, cfg: TcpConfig) -> Self {
+        Self::with_token(local, remote, flow, cfg, TICK)
+    }
+
+    /// A sender endpoint whose wakeups carry timer `token`.
+    pub(crate) fn with_token(
+        local: NodeId,
+        remote: NodeId,
+        flow: FlowId,
+        cfg: TcpConfig,
+        token: u64,
+    ) -> Self {
         SenderEndpoint {
             sender: TransportSender::new(local, remote, flow, cfg),
             completed: Vec::new(),
             rtt_trace: GaugeSeries::new(),
-            requests_served: 0,
+            token,
             next_timer: SimTime::MAX,
         }
     }
 
-    /// Access the underlying sender (telemetry, manual transfers).
+    /// Access the underlying sender (telemetry).
     pub fn sender(&self) -> &TransportSender {
         &self.sender
     }
 
-    /// Mutable access to the underlying sender.
-    pub fn sender_mut(&mut self) -> &mut TransportSender {
-        &mut self.sender
+    /// Start a transfer of `size` bytes paced at `pace` and send what the
+    /// window and pacer allow: what a [`Payload::Request`] does, for hosts
+    /// that start transfers themselves.
+    pub fn serve(&mut self, now: SimTime, size: u64, pace: Option<Rate>, ctx: &mut NodeCtx) {
+        let mut out = Vec::new();
+        self.sender.start_transfer(now, size, pace);
+        self.sender.pump(now, &mut out);
+        self.finish(now, out, ctx);
     }
 
-    /// Number of requests this endpoint has started serving.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
-    }
-
-    fn after_event(&mut self, now: SimTime, ctx: &mut NodeCtx) {
-        self.completed.extend(self.sender.take_completed());
+    /// End of every event: send what the sender released, collect finished
+    /// transfers, and arm the next wakeup.
+    fn finish(&mut self, now: SimTime, out: Vec<Packet>, ctx: &mut NodeCtx) {
+        for p in out {
+            ctx.send(p);
+        }
+        self.completed
+            .extend(self.sender.core_mut().take_completed());
         if self.next_timer <= now {
             // The recorded timer has fired (or is firing now).
             self.next_timer = SimTime::MAX;
@@ -77,7 +98,7 @@ impl SenderEndpoint {
             let wake = wake.max(now + SimDuration::from_micros(1));
             if wake < self.next_timer {
                 self.next_timer = wake;
-                ctx.set_timer(wake, TICK);
+                ctx.set_timer(wake, self.token);
             }
         }
     }
@@ -85,35 +106,29 @@ impl SenderEndpoint {
 
 impl Endpoint for SenderEndpoint {
     fn on_packet(&mut self, now: SimTime, pkt: Packet, ctx: &mut NodeCtx) {
-        let mut out = Vec::new();
-        if self.sender.handle_packet(now, &pkt, &mut out) {
-            if let Some(srtt) = self.sender.srtt() {
-                self.rtt_trace.record(now, srtt.as_millis_f64());
+        match pkt.payload {
+            Payload::Request { size, pace_bps, .. } if pkt.flow == self.sender.core().flow() => {
+                self.serve(now, size, pace_bps.map(Rate::from_bps), ctx);
             }
-        } else if let Payload::Request { size, pace_bps, .. } = pkt.payload {
-            if pkt.flow == self.sender.flow() {
-                let pace = pace_bps.map(Rate::from_bps);
-                self.sender.start_transfer(now, size, pace);
-                self.sender.pump(now, &mut out);
-                self.requests_served += 1;
+            _ => {
+                let mut out = Vec::new();
+                if self.sender.handle_packet(now, &pkt, &mut out) {
+                    if let Some(srtt) = self.sender.core().srtt() {
+                        self.rtt_trace.record(now, srtt.as_millis_f64());
+                    }
+                }
+                self.finish(now, out, ctx);
             }
         }
-        for p in out {
-            ctx.send(p);
-        }
-        self.after_event(now, ctx);
     }
 
     fn on_timer(&mut self, now: SimTime, token: u64, ctx: &mut NodeCtx) {
-        if token != TICK {
+        if token != self.token {
             return;
         }
         let mut out = Vec::new();
         self.sender.on_tick(now, &mut out);
-        for p in out {
-            ctx.send(p);
-        }
-        self.after_event(now, ctx);
+        self.finish(now, out, ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {

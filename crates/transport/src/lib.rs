@@ -10,9 +10,17 @@
 //! - [`QuicSender`] / [`QuicReceiver`]: a QUIC-style transport — stream
 //!   multiplexing over one connection, ACK ranges with selective
 //!   retransmission (no head-of-line blocking across streams), connection
-//!   flow control — behind the same pacing and congestion-control hooks.
+//!   flow control — on the same sender core as TCP.
 //!   [`TransportSender`] / [`TransportReceiver`] select the protocol per
 //!   [`Protocol`] so endpoints are transport-agnostic.
+//! - [`SenderCore`]: what both senders share, written once — the
+//!   controller, pacer, RTT estimator and t-digest, stats and completion
+//!   reports, and the decisions on them: the effective pace
+//!   `min(application rate, controller rate)`, RTT sampling, the
+//!   retransmission timeout and its backoff, send/loss/timeout
+//!   accounting, idle restart and the `pacing-rate-bounds` invariant. The
+//!   TCP sender keeps only its sequence space, the QUIC sender only its
+//!   streams, packet numbers and ACK ranges.
 //! - [`Reno`], [`Cubic`], [`BbrLite`] (BBR with PROBE_RTT, app-limited
 //!   sampling, and drain-exit) and [`Ledbat`] congestion controllers
 //!   behind the [`CongestionControl`] trait.
@@ -26,7 +34,8 @@
 //! - [`SenderEndpoint`] / [`ReceiverEndpoint`]: plug-in [`netsim::Endpoint`]
 //!   adapters; the sender endpoint answers [`netsim::Payload::Request`]
 //!   messages whose `pace_bps` field is the application-informed pacing
-//!   header.
+//!   header. Its event loop is the only one: [`MultiSenderEndpoint`]
+//!   demultiplexes flows over several sender endpoints.
 //!
 //! Telemetry matches what the paper's production experiments measure:
 //! per-connection retransmitted-byte fractions and per-packet RTTs stored
@@ -45,6 +54,7 @@ pub mod receiver;
 pub mod rtt;
 pub mod scavenger;
 pub mod sender;
+pub mod sender_core;
 pub mod udp;
 
 pub use bbr::BbrLite;
@@ -58,4 +68,5 @@ pub use receiver::TcpReceiver;
 pub use rtt::RttEstimator;
 pub use scavenger::{Ledbat, LedbatConfig};
 pub use sender::{CompletedTransfer, SenderStats, TcpConfig, TcpSender};
+pub use sender_core::SenderCore;
 pub use udp::{UdpCbrSource, UdpSink};

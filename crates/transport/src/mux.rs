@@ -9,8 +9,9 @@
 
 use crate::quic::{QuicReceiver, QuicSender};
 use crate::receiver::TcpReceiver;
-use crate::sender::{CompletedTransfer, SenderStats, TcpConfig, TcpSender};
-use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime};
+use crate::sender::{SenderStats, TcpConfig, TcpSender};
+use crate::sender_core::SenderCore;
+use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimTime};
 use tdigest::TDigest;
 
 /// Which wire protocol a sender/receiver pair speaks.
@@ -65,8 +66,9 @@ impl std::str::FromStr for Protocol {
 
 /// A sender of either protocol, chosen by [`TcpConfig::transport`].
 ///
-/// Every method delegates to the underlying state machine; the two expose
-/// the same surface by construction.
+/// Protocol events (transfers, ACKs, ticks) dispatch to the state machine;
+/// shared state is read through [`core`](Self::core), the one match over
+/// the variants for everything the two protocols hold in common.
 #[derive(Debug)]
 pub enum TransportSender {
     /// TCP byte-stream sender.
@@ -84,20 +86,30 @@ impl TransportSender {
         }
     }
 
-    /// Which protocol this sender speaks.
-    pub fn protocol(&self) -> Protocol {
+    /// The shared sender state: flow, window, RTT, telemetry, completions.
+    pub fn core(&self) -> &SenderCore {
         match self {
-            TransportSender::Tcp(_) => Protocol::Tcp,
-            TransportSender::Quic(_) => Protocol::Quic,
+            TransportSender::Tcp(s) => &s.core,
+            TransportSender::Quic(s) => &s.core,
         }
     }
 
-    /// The connection's flow id.
-    pub fn flow(&self) -> FlowId {
+    /// Mutable access to the shared sender state (draining completions).
+    pub(crate) fn core_mut(&mut self) -> &mut SenderCore {
         match self {
-            TransportSender::Tcp(s) => s.flow(),
-            TransportSender::Quic(s) => s.flow(),
+            TransportSender::Tcp(s) => &mut s.core,
+            TransportSender::Quic(s) => &mut s.core,
         }
+    }
+
+    /// Telemetry counters.
+    pub fn stats(&self) -> &SenderStats {
+        self.core().stats()
+    }
+
+    /// Per-packet RTT samples (t-digest).
+    pub fn rtt_digest(&self) -> &TDigest {
+        self.core().rtt_digest()
     }
 
     /// Queue a transfer of `bytes`, paced at `pace`; returns the transfer id.
@@ -105,14 +117,6 @@ impl TransportSender {
         match self {
             TransportSender::Tcp(s) => s.start_transfer(now, bytes, pace),
             TransportSender::Quic(s) => s.start_transfer(now, bytes, pace),
-        }
-    }
-
-    /// Change a queued/in-flight transfer's pace rate.
-    pub fn set_transfer_pace(&mut self, now: SimTime, id: u64, pace: Option<Rate>) {
-        match self {
-            TransportSender::Tcp(s) => s.set_transfer_pace(now, id, pace),
-            TransportSender::Quic(s) => s.set_transfer_pace(now, id, pace),
         }
     }
 
@@ -143,7 +147,7 @@ impl TransportSender {
                     cum_ack,
                     echo_ts,
                     round,
-                } if pkt.flow == s.flow() => {
+                } if pkt.flow == s.core.flow() => {
                     s.on_ack(now, cum_ack, echo_ts, round, out);
                     true
                 }
@@ -161,67 +165,11 @@ impl TransportSender {
         }
     }
 
-    /// Drain completed-transfer reports.
-    pub fn take_completed(&mut self) -> Vec<CompletedTransfer> {
-        match self {
-            TransportSender::Tcp(s) => s.take_completed(),
-            TransportSender::Quic(s) => s.take_completed(),
-        }
-    }
-
     /// True when nothing remains queued or outstanding.
     pub fn is_idle(&self) -> bool {
         match self {
             TransportSender::Tcp(s) => s.is_idle(),
             TransportSender::Quic(s) => s.is_idle(),
-        }
-    }
-
-    /// Bytes currently in flight.
-    pub fn bytes_in_flight(&self) -> u64 {
-        match self {
-            TransportSender::Tcp(s) => s.bytes_in_flight(),
-            TransportSender::Quic(s) => s.bytes_in_flight(),
-        }
-    }
-
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
-        match self {
-            TransportSender::Tcp(s) => s.cwnd(),
-            TransportSender::Quic(s) => s.cwnd(),
-        }
-    }
-
-    /// The congestion-control algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        match self {
-            TransportSender::Tcp(s) => s.cc_name(),
-            TransportSender::Quic(s) => s.cc_name(),
-        }
-    }
-
-    /// Telemetry counters.
-    pub fn stats(&self) -> &SenderStats {
-        match self {
-            TransportSender::Tcp(s) => s.stats(),
-            TransportSender::Quic(s) => s.stats(),
-        }
-    }
-
-    /// Per-packet RTT samples (t-digest).
-    pub fn rtt_digest(&self) -> &TDigest {
-        match self {
-            TransportSender::Tcp(s) => s.rtt_digest(),
-            TransportSender::Quic(s) => s.rtt_digest(),
-        }
-    }
-
-    /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        match self {
-            TransportSender::Tcp(s) => s.srtt(),
-            TransportSender::Quic(s) => s.srtt(),
         }
     }
 }
@@ -301,6 +249,7 @@ pub fn data_len(pkt: &Packet) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::SimDuration;
 
     #[test]
     fn protocol_parse_roundtrip() {
@@ -322,7 +271,7 @@ mod tests {
     #[test]
     fn sender_variant_follows_config() {
         let tcp = TransportSender::new(NodeId(0), NodeId(1), FlowId(1), TcpConfig::default());
-        assert_eq!(tcp.protocol(), Protocol::Tcp);
+        assert!(matches!(tcp, TransportSender::Tcp(_)));
         let quic = TransportSender::new(
             NodeId(0),
             NodeId(1),
@@ -332,7 +281,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(quic.protocol(), Protocol::Quic);
+        assert!(matches!(quic, TransportSender::Quic(_)));
     }
 
     /// The same request-driven transfer completes over either variant.
@@ -363,7 +312,7 @@ mod tests {
                 guard += 1;
                 assert!(guard < 1000, "{proto:?} wedged");
             }
-            assert_eq!(s.take_completed().len(), 1, "{proto:?}");
+            assert_eq!(s.core_mut().take_completed().len(), 1, "{proto:?}");
             assert_eq!(r.contiguous_bytes(), 100_000, "{proto:?}");
         }
     }

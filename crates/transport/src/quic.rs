@@ -19,19 +19,17 @@
 //! - **Loss detection.** Packet-threshold reordering detection (3 packets,
 //!   RFC 9002-style) plus a probe timeout (PTO) with exponential backoff.
 //!
-//! The sender reuses the exact [`Pacer`]/[`CongestionControl`] hooks the
-//! TCP sender uses — the same application-informed pace rate rides on
-//! [`QuicSender::start_transfer`], and the congestion controller is chosen
-//! by [`TcpConfig::cc`] — so the Sammy-vs-baseline A/B can vary transport
-//! and congestion control independently.
+//! The sender runs on the same [`SenderCore`] as the TCP sender — the
+//! same pacer, application-informed pace rule (the rate rides on
+//! [`QuicSender::start_transfer`]), RTT sampling, timeout backoff and
+//! telemetry, with the congestion controller chosen by [`TcpConfig::cc`] —
+//! so the Sammy-vs-baseline A/B can vary transport and congestion control
+//! independently.
 
-use crate::cc::CongestionControl;
-use crate::pacing::Pacer;
-use crate::rtt::RttEstimator;
-use crate::sender::{CompletedTransfer, SenderStats, TcpConfig};
-use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime, MSS_BYTES};
+use crate::sender::{SenderStats, TcpConfig};
+use crate::sender_core::SenderCore;
+use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimTime, MSS_BYTES};
 use std::collections::VecDeque;
-use tdigest::TDigest;
 
 /// Reordering threshold before a packet is declared lost (RFC 9002 §6.1.1).
 const PACKET_THRESHOLD: u64 = 3;
@@ -142,14 +140,7 @@ struct SendStream {
 /// drive either transport.
 #[derive(Debug)]
 pub struct QuicSender {
-    src: NodeId,
-    dst: NodeId,
-    flow: FlowId,
-    cfg: TcpConfig,
-
-    cc: Box<dyn CongestionControl>,
-    pacer: Pacer,
-    rtt: RttEstimator,
+    pub(crate) core: SenderCore,
 
     next_pkt_num: u64,
     largest_acked: Option<u64>,
@@ -168,14 +159,6 @@ pub struct QuicSender {
     /// Loss events within one recovery epoch count once: the epoch ends
     /// when a packet numbered at/after this is acknowledged.
     recovery_end: Option<u64>,
-    pto_deadline: Option<SimTime>,
-    pto_backoff: u32,
-
-    last_send: Option<SimTime>,
-
-    completed: Vec<CompletedTransfer>,
-    stats: SenderStats,
-    rtt_digest: TDigest,
 }
 
 impl QuicSender {
@@ -183,16 +166,8 @@ impl QuicSender {
     /// selects the congestion controller; `cfg.max_burst_packets` bounds
     /// line-rate bursts exactly as for TCP.
     pub fn new(src: NodeId, dst: NodeId, flow: FlowId, cfg: TcpConfig) -> Self {
-        let pacer = Pacer::unlimited(cfg.max_burst_packets);
-        let cc = cfg.cc.build();
         QuicSender {
-            src,
-            dst,
-            flow,
-            cfg,
-            cc,
-            pacer,
-            rtt: RttEstimator::new(),
+            core: SenderCore::new(src, dst, flow, cfg),
             next_pkt_num: 0,
             largest_acked: None,
             sent: VecDeque::new(),
@@ -202,18 +177,17 @@ impl QuicSender {
             conn_sent: 0,
             peer_max_data: INITIAL_MAX_DATA,
             recovery_end: None,
-            pto_deadline: None,
-            pto_backoff: 0,
-            last_send: None,
-            completed: Vec::new(),
-            stats: SenderStats::default(),
-            rtt_digest: TDigest::new(100.0),
         }
     }
 
-    /// The connection's flow id.
-    pub fn flow(&self) -> FlowId {
-        self.flow
+    /// The state and telemetry shared with the TCP sender.
+    pub fn core(&self) -> &SenderCore {
+        &self.core
+    }
+
+    /// Telemetry counters (the core's).
+    pub fn stats(&self) -> &SenderStats {
+        self.core.stats()
     }
 
     /// Open a new stream carrying `bytes`, paced at `pace` (or unpaced).
@@ -239,24 +213,6 @@ impl QuicSender {
         id
     }
 
-    /// Change the pace rate of a stream. Applies on the next released
-    /// packet of that stream.
-    pub fn set_transfer_pace(&mut self, now: SimTime, id: u64, pace: Option<Rate>) {
-        let mut active = false;
-        if let Some(s) = self.streams.iter_mut().find(|s| s.id == id) {
-            s.pace = pace;
-            active = s.sent > 0 && s.acked_bytes < s.len;
-        }
-        if active {
-            self.sync_pacer_rate(now);
-        }
-    }
-
-    /// Drain completed-transfer reports accumulated since the last call.
-    pub fn take_completed(&mut self) -> Vec<CompletedTransfer> {
-        std::mem::take(&mut self.completed)
-    }
-
     /// True when every opened stream has been fully acknowledged.
     pub fn is_idle(&self) -> bool {
         self.streams.is_empty()
@@ -267,45 +223,12 @@ impl QuicSender {
         self.bytes_in_flight
     }
 
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
-        self.cc.cwnd()
-    }
-
-    /// The congestion-control algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
-    /// Telemetry counters.
-    pub fn stats(&self) -> &SenderStats {
-        &self.stats
-    }
-
-    /// Per-packet RTT samples (t-digest).
-    pub fn rtt_digest(&self) -> &TDigest {
-        &self.rtt_digest
-    }
-
-    /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
-
     /// When the sender next needs a timer callback: the earlier of the PTO
     /// deadline and the pacer release time (when there is something to
     /// send but pacing blocks).
     pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        let mut wake = self.pto_deadline;
-        if self.has_sendable_frame() {
-            if let Some(t) = self
-                .pacer
-                .next_release(now, MSS_BYTES + netsim::HEADER_BYTES)
-            {
-                wake = Some(wake.map_or(t, |w| w.min(t)));
-            }
-        }
-        wake
+        let next = self.has_sendable_frame().then_some(MSS_BYTES);
+        self.core.next_wakeup(now, next)
     }
 
     /// Handle an arriving [`Payload::QuicAck`] for this connection.
@@ -320,7 +243,7 @@ impl QuicSender {
         else {
             return false;
         };
-        if pkt.flow != self.flow {
+        if pkt.flow != self.core.flow() {
             return false;
         }
         self.on_quic_ack(now, largest, echo_ts, &ranges, max_data, out);
@@ -379,18 +302,11 @@ impl QuicSender {
 
         // RTT sample from the echoed timestamp, taken only when the ACK
         // acknowledged something new (RFC 9002 §5.1).
-        if progressed {
-            if let Some(r) = now.checked_since(echo_ts) {
-                self.rtt.on_sample(r);
-                self.rtt_digest.add(r.as_millis_f64());
-                obs::observe!(
-                    "transport.srtt_ms",
-                    self.rtt.srtt().unwrap_or(r).as_millis_f64()
-                );
-                obs::gauge!("transport.cwnd_bytes", self.cc.cwnd() as f64);
-            }
-            self.pto_backoff = 0;
-        }
+        let rtt = if progressed {
+            self.core.on_progress(now, echo_ts)
+        } else {
+            None
+        };
 
         // Pass 2: packet-threshold loss detection. Anything unacked and
         // PACKET_THRESHOLD below the largest acknowledged packet is lost.
@@ -408,10 +324,7 @@ impl QuicSender {
             self.queue_retransmission(sp);
             // One congestion response per recovery epoch.
             if self.recovery_end.is_none_or(|r| sp.pkt_num >= r) {
-                self.stats.loss_events += 1;
-                self.cc.on_loss_event(now);
-                obs::counter!("transport.loss_events", 1);
-                obs::trace_event!(TcpLossEvent, now.as_nanos(), self.cc.cwnd(), 0);
+                self.core.on_loss_event(now);
                 self.recovery_end = Some(self.next_pkt_num);
             }
         }
@@ -426,17 +339,16 @@ impl QuicSender {
         }
 
         if newly_acked > 0 {
-            let rtt = now.checked_since(echo_ts);
-            self.cc.on_ack(now, newly_acked, rtt, was_in_recovery);
-            self.cc.on_inflight(now, self.bytes_in_flight);
+            self.core.cc.on_ack(now, newly_acked, rtt, was_in_recovery);
+            self.core.cc.on_inflight(now, self.bytes_in_flight);
         }
 
         self.complete_streams(now);
 
         if self.bytes_in_flight == 0 && !self.has_sendable_frame() {
-            self.pto_deadline = None;
+            self.core.clear_timeout();
         } else if progressed {
-            self.arm_pto(now);
+            self.core.arm_timeout(now);
         }
 
         self.pump(now, out);
@@ -444,63 +356,43 @@ impl QuicSender {
 
     /// Timer callback: PTO expiry and pacing-released transmission.
     pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        if let Some(deadline) = self.pto_deadline {
-            if now >= deadline && (self.bytes_in_flight > 0 || !self.sent.is_empty()) {
-                // Probe timeout: declare the oldest outstanding packet lost
-                // and retransmit it as the probe. Exponential backoff.
-                self.stats.rtos += 1;
-                self.cc.on_rto(now);
-                obs::counter!("transport.rtos", 1);
-                obs::trace_event!(TcpRto, now.as_nanos(), self.cc.cwnd(), 0);
-                self.pto_backoff = (self.pto_backoff + 1).min(10);
-                if let Some(i) = self.sent.iter().position(|sp| !sp.acked && !sp.lost) {
-                    let sp = self.sent[i];
-                    self.sent[i].lost = true;
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(sp.len as u64);
-                    self.queue_retransmission(sp);
-                }
-                self.recovery_end = Some(self.next_pkt_num);
-                self.arm_pto(now);
+        let outstanding = self.bytes_in_flight > 0 || !self.sent.is_empty();
+        if self.core.fire_timeout(now, outstanding) {
+            // Probe timeout: declare the oldest outstanding packet lost and
+            // retransmit it as the probe.
+            if let Some(i) = self.sent.iter().position(|sp| !sp.acked && !sp.lost) {
+                let sp = self.sent[i];
+                self.sent[i].lost = true;
+                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(sp.len as u64);
+                self.queue_retransmission(sp);
             }
+            self.recovery_end = Some(self.next_pkt_num);
         }
         self.pump(now, out);
     }
 
     /// Kick transmission (e.g. right after the application opens a stream).
     pub fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        // Restart-after-idle, as for TCP: a long app-limited gap means the
-        // controller's window no longer reflects the path.
-        if self.cfg.idle_restart {
-            if let Some(last) = self.last_send {
-                if self.bytes_in_flight == 0
-                    && self.has_sendable_frame()
-                    && now.saturating_since(last) > self.rtt.rto()
-                {
-                    self.cc.on_idle_restart(now);
-                }
-            }
-        }
+        let quiet = self.bytes_in_flight == 0 && self.has_sendable_frame();
+        self.core.idle_restart(now, quiet);
 
         loop {
             let Some((stream_idx, offset, len, retx)) = self.next_frame() else {
                 // Window open but nothing to send: if streams still have
                 // unsent data the limit is flow control, otherwise the
                 // application — tell the controller about the latter.
-                if self.bytes_in_flight < self.cc.cwnd()
+                if self.bytes_in_flight < self.core.cwnd()
                     && !self.streams.is_empty()
                     && self.streams.iter().all(|s| s.sent >= s.len)
                     && self.streams.iter().all(|s| s.retx.is_empty())
                 {
-                    self.cc.on_app_limited(now);
+                    self.core.cc.on_app_limited(now);
                 }
                 break;
             };
-            let wire = len + netsim::HEADER_BYTES;
-            if !self.pacer.can_send(now, wire) {
-                break;
-            }
-            self.sync_pacer_rate(now);
-            if !self.pacer.can_send(now, wire) {
+            let streams = &self.streams;
+            let app = || streams.iter().find(|s| s.acked_bytes < s.len)?.pace;
+            if !self.core.pace(now, len, app) {
                 break;
             }
             self.emit_frame(now, stream_idx, offset, len, retx, out);
@@ -510,7 +402,7 @@ impl QuicSender {
 
     /// Sender sanity (validate feature): flight accounting never exceeds
     /// the flow-control credit plus retransmissions, cwnd stays above one
-    /// MSS, any pace rate is physical, and no byte declared lost is
+    /// MSS, the core's pace bounds hold, and no byte declared lost is
     /// forgotten: each one is acknowledged, queued in `retx`, or back in
     /// flight in a retransmission.
     #[cfg(feature = "validate")]
@@ -524,18 +416,11 @@ impl QuicSender {
         );
         netsim::invariant!(
             "quic-sender-sanity",
-            self.cc.cwnd() >= MSS_BYTES,
+            self.core.cwnd() >= MSS_BYTES,
             "cwnd {} below one MSS",
-            self.cc.cwnd()
+            self.core.cwnd()
         );
-        if let Some(rate) = self.pacer.rate() {
-            netsim::invariant!(
-                "pacing-rate-bounds",
-                rate.bps().is_finite() && rate.bps() > 0.0 && rate.bps() <= 1e12,
-                "pace {} bps outside (0, 1e12]",
-                rate.bps()
-            );
-        }
+        self.core.check_pace();
         for s in self.streams.iter().filter(|s| !s.lost.is_empty()) {
             let mut covered = s.acked.clone();
             for &(start, end) in &s.retx {
@@ -587,7 +472,7 @@ impl QuicSender {
         if retx {
             return true;
         }
-        self.bytes_in_flight < self.cc.cwnd()
+        self.bytes_in_flight < self.core.cwnd()
             && self.conn_sent < self.peer_max_data
             && self.streams.iter().any(|s| s.sent < s.len)
     }
@@ -615,7 +500,7 @@ impl QuicSender {
                 }
             }
         }
-        if self.bytes_in_flight >= self.cc.cwnd() {
+        if self.bytes_in_flight >= self.core.cwnd() {
             return None;
         }
         let budget = self.peer_max_data.saturating_sub(self.conn_sent);
@@ -640,7 +525,6 @@ impl QuicSender {
         retx: bool,
         out: &mut Vec<Packet>,
     ) {
-        debug_assert!(len > 0);
         let pkt_num = self.next_pkt_num;
         self.next_pkt_num += 1;
         let s = &mut self.streams[stream_idx];
@@ -662,20 +546,6 @@ impl QuicSender {
             s.sent += len;
             self.conn_sent += len;
         }
-        let pkt = Packet::new(
-            self.src,
-            self.dst,
-            self.flow,
-            Payload::QuicData {
-                pkt_num,
-                stream: stream_id,
-                offset,
-                len: len as u32,
-                fin,
-                retx,
-            },
-        );
-        self.pacer.on_send(now, pkt.size);
         self.sent.push_back(SentPacket {
             pkt_num,
             stream: stream_id,
@@ -685,18 +555,16 @@ impl QuicSender {
             lost: false,
         });
         self.bytes_in_flight += len;
-        self.stats.bytes_sent += len;
-        self.stats.packets_sent += 1;
-        if retx {
-            self.stats.retx_bytes += len;
-            self.stats.retx_packets += 1;
-            obs::counter!("transport.retx_packets", 1);
-        }
-        self.last_send = Some(now);
-        if self.pto_deadline.is_none() {
-            self.arm_pto(now);
-        }
-        out.push(pkt);
+        let payload = Payload::QuicData {
+            pkt_num,
+            stream: stream_id,
+            offset,
+            len: len as u32,
+            fin,
+            retx,
+        };
+        self.core.send(now, payload, len, retx, out);
+        self.core.ensure_timeout(now);
     }
 
     /// Queue a lost packet's stream bytes for selective retransmission,
@@ -711,51 +579,15 @@ impl QuicSender {
         }
     }
 
-    /// Pace at the minimum of the active stream's application-informed
-    /// rate and the congestion controller's own pacing rate.
-    fn sync_pacer_rate(&mut self, now: SimTime) {
-        let app = self
-            .streams
-            .iter()
-            .find(|s| s.acked_bytes < s.len)
-            .and_then(|s| s.pace);
-        let cc = self.cc.pacing_rate();
-        let rate = match (app, cc) {
-            (Some(a), Some(c)) => Some(a.min(c)),
-            (Some(a), None) => Some(a),
-            (None, Some(c)) => Some(c),
-            (None, None) => None,
-        };
-        if self.pacer.rate().map(|r| r.bps()) != rate.map(|r| r.bps()) {
-            // `_new`: referenced only from the obs expansion.
-            if let Some(_new) = rate {
-                obs::observe!("transport.pacing_rate_mbps", _new.bps() / 1e6);
-            }
-            self.pacer.set_rate(now, rate);
-        }
-    }
-
     fn complete_streams(&mut self, now: SimTime) {
-        let completed = &mut self.completed;
+        let core = &mut self.core;
         self.streams.retain(|s| {
-            if s.acked_bytes >= s.len {
-                completed.push(CompletedTransfer {
-                    id: s.id,
-                    bytes: s.len,
-                    queued_at: s.queued_at,
-                    started_at: s.started_at.unwrap_or(s.queued_at),
-                    completed_at: now,
-                });
-                false
-            } else {
-                true
+            let done = s.acked_bytes >= s.len;
+            if done {
+                core.complete(now, s.id, s.len, s.queued_at, s.started_at);
             }
+            !done
         });
-    }
-
-    fn arm_pto(&mut self, now: SimTime) {
-        let pto = self.rtt.rto().saturating_mul(1 << self.pto_backoff);
-        self.pto_deadline = Some(now + pto);
     }
 }
 
@@ -913,7 +745,7 @@ impl QuicReceiver {
 mod tests {
     use super::*;
     use crate::cc::CcAlgorithm;
-    use netsim::HEADER_BYTES;
+    use netsim::{SimDuration, HEADER_BYTES};
 
     fn pair() -> (QuicSender, QuicReceiver) {
         let cfg = TcpConfig::default();
@@ -974,7 +806,7 @@ mod tests {
             guard += 1;
             assert!(guard < 100, "transfer wedged");
         }
-        let done = s.take_completed();
+        let done = s.core.take_completed();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, id);
         assert_eq!(done[0].bytes, 10_000);
@@ -998,7 +830,7 @@ mod tests {
         let pkts = std::mem::take(&mut out);
         out = deliver(&mut s, &mut r, t1, pkts, &[0]);
         // B is fully acked even though A still has a hole.
-        let done = s.take_completed();
+        let done = s.core.take_completed();
         assert_eq!(done.len(), 1, "stream B must complete despite A's loss");
         assert_eq!(done[0].id, b);
         // The packet-threshold detector fired and queued A's bytes; the
@@ -1020,7 +852,7 @@ mod tests {
         let t2 = SimTime::from_millis(20);
         let pkts = std::mem::take(&mut out);
         deliver(&mut s, &mut r, t2, pkts, &[]);
-        let done = s.take_completed();
+        let done = s.core.take_completed();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, a);
         assert_eq!(r.contiguous_bytes(), 5 * MSS_BYTES);

@@ -6,24 +6,26 @@
 //! - sliding-window transmission limited by the congestion window,
 //! - NewReno loss recovery: duplicate-ACK fast retransmit, partial-ACK
 //!   retransmission during recovery, RTO with exponential backoff,
-//! - pacing via [`Pacer`] — the application-informed pacing mechanism:
-//!   each transfer carries an optional pace rate that upper-bounds the
-//!   release rate of its bytes (§3.2 of the paper),
+//! - pacing via [`Pacer`](crate::Pacer) — the application-informed pacing
+//!   mechanism: each transfer carries an optional pace rate that
+//!   upper-bounds the release rate of its bytes (§3.2 of the paper),
 //! - slow-start restart after idle periods,
 //! - telemetry: retransmitted bytes, total bytes, per-packet RTT samples
 //!   recorded in a t-digest, per-transfer timings (for chunk throughput).
+//!
+//! Pacing, RTT sampling, the RTO, idle restart and the telemetry live in
+//! the [`SenderCore`] it shares with the QUIC sender; this module keeps the
+//! byte sequence space and NewReno recovery.
 //!
 //! The sender is not itself a [`netsim::Endpoint`]; host endpoints own one
 //! or more senders and forward ACKs/timers to them (see
 //! [`crate::endpoint::SenderEndpoint`] for a ready-made wrapper).
 
-use crate::cc::{CcAlgorithm, CongestionControl};
+use crate::cc::CcAlgorithm;
 use crate::mux::Protocol;
-use crate::pacing::Pacer;
-use crate::rtt::RttEstimator;
-use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimDuration, SimTime, MSS_BYTES};
+use crate::sender_core::SenderCore;
+use netsim::{FlowId, NodeId, Packet, Payload, Rate, SimTime, HEADER_BYTES, MSS_BYTES};
 use std::collections::VecDeque;
-use tdigest::TDigest;
 
 /// Configuration for a transport sender (TCP or QUIC — the name predates
 /// the QUIC-style transport; every field applies to both).
@@ -131,14 +133,7 @@ impl SenderStats {
 /// NewReno TCP sender with application-informed pacing.
 #[derive(Debug)]
 pub struct TcpSender {
-    src: NodeId,
-    dst: NodeId,
-    flow: FlowId,
-    cfg: TcpConfig,
-
-    cc: Box<dyn CongestionControl>,
-    pacer: Pacer,
-    rtt: RttEstimator,
+    pub(crate) core: SenderCore,
 
     /// Lowest unacknowledged byte.
     snd_una: u64,
@@ -153,60 +148,33 @@ pub struct TcpSender {
     recover: Option<u64>,
     /// Next byte to (re)send inside the recovery hole, if any.
     retx_next: Option<u64>,
-
-    /// RTO deadline, if data is in flight.
-    rto_deadline: Option<SimTime>,
-    /// Consecutive RTO backoff exponent.
-    rto_backoff: u32,
     /// Send epoch: bumped on RTO so stale ACK info can be recognized.
     round: u64,
 
-    /// Last time any segment was sent (for idle restart).
-    last_send: Option<SimTime>,
-
     transfers: VecDeque<Transfer>,
-    completed: Vec<CompletedTransfer>,
     next_transfer_id: u64,
-
-    /// Telemetry.
-    stats: SenderStats,
-    rtt_digest: TDigest,
 }
 
 impl TcpSender {
     /// Create a sender for a flow from `src` to `dst`.
     pub fn new(src: NodeId, dst: NodeId, flow: FlowId, cfg: TcpConfig) -> Self {
-        let pacer = Pacer::unlimited(cfg.max_burst_packets);
-        let cc = cfg.cc.build();
         TcpSender {
-            src,
-            dst,
-            flow,
-            cfg,
-            cc,
-            pacer,
-            rtt: RttEstimator::new(),
+            core: SenderCore::new(src, dst, flow, cfg),
             snd_una: 0,
             snd_nxt: 0,
             stream_end: 0,
             dup_acks: 0,
             recover: None,
             retx_next: None,
-            rto_deadline: None,
-            rto_backoff: 0,
             round: 0,
-            last_send: None,
             transfers: VecDeque::new(),
-            completed: Vec::new(),
             next_transfer_id: 0,
-            stats: SenderStats::default(),
-            rtt_digest: TDigest::new(100.0),
         }
     }
 
-    /// The flow id this sender transmits on.
-    pub fn flow(&self) -> FlowId {
-        self.flow
+    /// The state and telemetry shared with the QUIC sender.
+    pub fn core(&self) -> &SenderCore {
+        &self.core
     }
 
     /// Queue an application transfer of `bytes`, paced at `pace` (or
@@ -218,7 +186,7 @@ impl TcpSender {
     pub fn start_transfer(&mut self, now: SimTime, bytes: u64, pace: Option<Rate>) -> u64 {
         assert!(bytes > 0, "empty transfer");
         debug_assert!(
-            self.stream_end - self.snd_una + bytes <= self.cfg.send_buffer,
+            self.stream_end - self.snd_una + bytes <= self.core.cfg.send_buffer,
             "send buffer overflow"
         );
         let id = self.next_transfer_id;
@@ -236,25 +204,6 @@ impl TcpSender {
         id
     }
 
-    /// Change the pace rate of a queued or active transfer. Applies
-    /// immediately if the transfer is currently transmitting.
-    pub fn set_transfer_pace(&mut self, now: SimTime, id: u64, pace: Option<Rate>) {
-        let mut is_active = false;
-        let snd_nxt = self.snd_nxt;
-        if let Some(t) = self.transfers.iter_mut().find(|t| t.id == id) {
-            t.pace = pace;
-            is_active = t.start <= snd_nxt && snd_nxt < t.end;
-        }
-        if is_active {
-            self.pacer.set_rate(now, pace);
-        }
-    }
-
-    /// Drain completed-transfer reports accumulated since the last call.
-    pub fn take_completed(&mut self) -> Vec<CompletedTransfer> {
-        std::mem::take(&mut self.completed)
-    }
-
     /// True when every queued byte has been acknowledged.
     pub fn is_idle(&self) -> bool {
         self.snd_una == self.stream_end
@@ -265,43 +214,12 @@ impl TcpSender {
         self.snd_nxt - self.snd_una
     }
 
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
-        self.cc.cwnd()
-    }
-
-    /// The congestion-control algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
-    /// Telemetry counters.
-    pub fn stats(&self) -> &SenderStats {
-        &self.stats
-    }
-
-    /// Per-packet RTT samples (t-digest), as recorded by this connection.
-    pub fn rtt_digest(&self) -> &TDigest {
-        &self.rtt_digest
-    }
-
-    /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
-
     /// When the sender next needs a timer callback ([`TcpSender::on_tick`]):
     /// the earlier of the RTO deadline and the pacer release time (when the
     /// window has room but pacing blocks). `None` if nothing is pending.
     pub fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
-        let mut wake = self.rto_deadline;
-        if self.can_send_more() {
-            let seg = self.next_segment_len();
-            if let Some(t) = self.pacer.next_release(now, seg + netsim::HEADER_BYTES) {
-                wake = Some(wake.map_or(t, |w| w.min(t)));
-            }
-        }
-        wake
+        let next = self.can_send_more().then(|| self.next_segment_len());
+        self.core.next_wakeup(now, next)
     }
 
     /// Handle an arriving cumulative ACK. Newly permitted segments are
@@ -326,20 +244,7 @@ impl TcpSender {
                 self.snd_nxt = self.snd_una;
             }
             self.dup_acks = 0;
-            self.rto_backoff = 0;
-
-            // RTT sample from the echoed timestamp (timestamp option
-            // semantics: valid even for retransmissions).
-            let rtt = now.checked_since(echo_ts);
-            if let Some(r) = rtt {
-                self.rtt.on_sample(r);
-                self.rtt_digest.add(r.as_millis_f64());
-                obs::observe!(
-                    "transport.srtt_ms",
-                    self.rtt.srtt().unwrap_or(r).as_millis_f64()
-                );
-                obs::gauge!("transport.cwnd_bytes", self.cc.cwnd() as f64);
-            }
+            let rtt = self.core.on_progress(now, echo_ts);
 
             let mut in_recovery = self.recover.is_some();
             if let Some(recover) = self.recover {
@@ -353,28 +258,25 @@ impl TcpSender {
                     self.retx_next = Some(cum_ack);
                 }
             }
-            self.cc.on_ack(now, newly_acked, rtt, in_recovery);
-            self.cc.on_inflight(now, self.bytes_in_flight());
+            self.core.cc.on_ack(now, newly_acked, rtt, in_recovery);
+            self.core.cc.on_inflight(now, self.bytes_in_flight());
 
             self.complete_transfers(now);
 
             if self.snd_una == self.snd_nxt {
-                self.rto_deadline = None;
+                self.core.clear_timeout();
             } else {
-                self.arm_rto(now);
+                self.core.arm_timeout(now);
             }
         } else if cum_ack == self.snd_una && self.snd_nxt > self.snd_una {
             // Duplicate ACK.
             self.dup_acks += 1;
             if self.dup_acks == 3 && self.recover.is_none() {
                 // Fast retransmit: enter recovery.
-                self.stats.loss_events += 1;
-                self.cc.on_loss_event(now);
-                obs::counter!("transport.loss_events", 1);
-                obs::trace_event!(TcpLossEvent, now.as_nanos(), self.cc.cwnd(), 0);
+                self.core.on_loss_event(now);
                 self.recover = Some(self.snd_nxt);
                 self.retx_next = Some(self.snd_una);
-                self.arm_rto(now);
+                self.core.arm_timeout(now);
             }
         }
         self.pump(now, out);
@@ -382,22 +284,13 @@ impl TcpSender {
 
     /// Timer callback: handles RTO expiry and pacing-released transmission.
     pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        if let Some(deadline) = self.rto_deadline {
-            if now >= deadline && self.snd_nxt > self.snd_una {
-                // Retransmission timeout.
-                self.stats.rtos += 1;
-                self.cc.on_rto(now);
-                obs::counter!("transport.rtos", 1);
-                obs::trace_event!(TcpRto, now.as_nanos(), self.cc.cwnd(), 0);
-                self.rto_backoff = (self.rto_backoff + 1).min(10);
-                self.round += 1;
-                self.dup_acks = 0;
-                self.recover = None;
-                // Go-back-N from the hole.
-                self.snd_nxt = self.snd_una;
-                self.retx_next = None;
-                self.arm_rto(now);
-            }
+        if self.core.fire_timeout(now, self.snd_nxt > self.snd_una) {
+            self.round += 1;
+            self.dup_acks = 0;
+            self.recover = None;
+            // Go-back-N from the hole.
+            self.snd_nxt = self.snd_una;
+            self.retx_next = None;
         }
         self.pump(now, out);
     }
@@ -405,25 +298,15 @@ impl TcpSender {
     /// Kick transmission without an ACK or timer (e.g. right after the
     /// application queues a transfer).
     pub fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        // Slow-start restart after idle.
-        if self.cfg.idle_restart {
-            if let Some(last) = self.last_send {
-                if self.snd_una == self.snd_nxt
-                    && now.saturating_since(last) > self.rtt.rto()
-                    && self.snd_nxt < self.stream_end
-                {
-                    self.cc.on_idle_restart(now);
-                }
-            }
-        }
+        let quiet = self.snd_una == self.snd_nxt && self.snd_nxt < self.stream_end;
+        self.core.idle_restart(now, quiet);
 
         loop {
             // Priority 1: recovery retransmissions.
             if let (Some(next), Some(recover)) = (self.retx_next, self.recover) {
                 if next < recover {
-                    let len = self.segment_len_at(next, recover);
-                    let wire = len + netsim::HEADER_BYTES;
-                    if !self.pacer.can_send(now, wire) {
+                    let len = MSS_BYTES.min(recover - next);
+                    if !self.core.pacer.can_send(now, len + HEADER_BYTES) {
                         break;
                     }
                     self.emit_segment(now, next, len, true, out);
@@ -437,34 +320,31 @@ impl TcpSender {
             if !self.can_send_more() {
                 // Out of data (not window): the path is app-limited, so
                 // delivery-rate samples must not be taken at face value.
-                if self.snd_nxt == self.stream_end && self.bytes_in_flight() < self.cc.cwnd() {
-                    self.cc.on_app_limited(now);
+                if self.snd_nxt == self.stream_end && self.bytes_in_flight() < self.core.cwnd() {
+                    self.core.cc.on_app_limited(now);
                 }
                 break;
             }
             let len = self.next_segment_len();
-            let wire = len + netsim::HEADER_BYTES;
-            if !self.pacer.can_send(now, wire) {
+            let nxt = self.snd_nxt;
+            let transfers = &self.transfers;
+            let app = || {
+                let active = transfers.iter().find(|t| t.start <= nxt && nxt < t.end);
+                active.and_then(|t| t.pace)
+            };
+            if !self.core.pace(now, len, app) {
                 break;
             }
-            self.sync_pacer_rate(now);
-            // Re-check after a possible rate change.
-            if !self.pacer.can_send(now, wire) {
-                break;
-            }
-            let offset = self.snd_nxt;
-            self.emit_segment(now, offset, len, false, out);
+            self.emit_segment(now, nxt, len, false, out);
             self.snd_nxt += len;
-            if self.rto_deadline.is_none() {
-                self.arm_rto(now);
-            }
+            self.core.ensure_timeout(now);
         }
         self.check_invariants();
     }
 
     /// Sender sanity (validate feature): sequence-space ordering, in-flight
-    /// bounded by the send buffer, cwnd never below one MSS, and the pace
-    /// (when set) finite, positive, and under a 1 Tbps sanity cap. Checked
+    /// bounded by the send buffer, cwnd never below one MSS, and the core's
+    /// pace bounds. Checked
     /// at the end of [`pump`](Self::pump), which every ACK/timer/app path
     /// funnels through.
     #[cfg(feature = "validate")]
@@ -479,25 +359,18 @@ impl TcpSender {
         );
         netsim::invariant!(
             "tcp-sender-sanity",
-            self.bytes_in_flight() <= self.cfg.send_buffer,
+            self.bytes_in_flight() <= self.core.cfg.send_buffer,
             "inflight {} exceeds send buffer {}",
             self.bytes_in_flight(),
-            self.cfg.send_buffer
+            self.core.cfg.send_buffer
         );
         netsim::invariant!(
             "tcp-sender-sanity",
-            self.cc.cwnd() >= MSS_BYTES,
+            self.core.cwnd() >= MSS_BYTES,
             "cwnd {} below one MSS",
-            self.cc.cwnd()
+            self.core.cwnd()
         );
-        if let Some(rate) = self.pacer.rate() {
-            netsim::invariant!(
-                "pacing-rate-bounds",
-                rate.bps().is_finite() && rate.bps() > 0.0 && rate.bps() <= 1e12,
-                "pace {} bps outside (0, 1e12]",
-                rate.bps()
-            );
-        }
+        self.core.check_pace();
     }
 
     #[cfg(not(feature = "validate"))]
@@ -507,20 +380,16 @@ impl TcpSender {
     /// Can a new (non-retransmitted) segment be sent under cwnd and data
     /// availability?
     fn can_send_more(&self) -> bool {
-        self.snd_nxt < self.stream_end && self.bytes_in_flight() < self.cc.cwnd()
+        self.snd_nxt < self.stream_end && self.bytes_in_flight() < self.core.cwnd()
     }
 
     fn next_segment_len(&self) -> u64 {
         let remaining_data = self.stream_end - self.snd_nxt;
-        let window_room = self.cc.cwnd().saturating_sub(self.bytes_in_flight());
+        let window_room = self.core.cwnd().saturating_sub(self.bytes_in_flight());
         // Always allow at least one full segment of window room once we are
         // permitted to send at all; sub-MSS nibbles would stall recovery.
         let cap = window_room.max(MSS_BYTES);
         MSS_BYTES.min(remaining_data).min(cap)
-    }
-
-    fn segment_len_at(&self, offset: u64, limit: u64) -> u64 {
-        MSS_BYTES.min(limit - offset)
     }
 
     fn emit_segment(
@@ -531,92 +400,38 @@ impl TcpSender {
         retx: bool,
         out: &mut Vec<Packet>,
     ) {
-        debug_assert!(len > 0);
-        let pkt = Packet::new(
-            self.src,
-            self.dst,
-            self.flow,
-            Payload::Data {
-                offset,
-                len: len as u32,
-                retx,
-                round: self.round,
-            },
-        );
-        self.pacer.on_send(now, pkt.size);
-        self.stats.bytes_sent += len;
-        self.stats.packets_sent += 1;
-        if retx {
-            self.stats.retx_bytes += len;
-            self.stats.retx_packets += 1;
-            obs::counter!("transport.retx_packets", 1);
-        }
-        self.note_transfer_start(now, offset);
-        self.last_send = Some(now);
-        out.push(pkt);
-    }
-
-    /// Update the pacer to the effective pace rate at `snd_nxt`: the
-    /// minimum of the active transfer's application-informed rate and any
-    /// rate the congestion controller itself requests (BBR-style).
-    fn sync_pacer_rate(&mut self, now: SimTime) {
-        let nxt = self.snd_nxt;
-        let app = self
-            .transfers
-            .iter()
-            .find(|t| t.start <= nxt && nxt < t.end)
-            .and_then(|t| t.pace);
-        let cc = self.cc.pacing_rate();
-        let rate = match (app, cc) {
-            (Some(a), Some(c)) => Some(a.min(c)),
-            (Some(a), None) => Some(a),
-            (None, Some(c)) => Some(c),
-            (None, None) => None,
-        };
-        if self.pacer.rate().map(|r| r.bps()) != rate.map(|r| r.bps()) {
-            // `_new`: referenced only from the obs expansion.
-            if let Some(_new) = rate {
-                obs::observe!("transport.pacing_rate_mbps", _new.bps() / 1e6);
-            }
-            self.pacer.set_rate(now, rate);
-        }
-    }
-
-    fn note_transfer_start(&mut self, now: SimTime, offset: u64) {
         for t in self.transfers.iter_mut() {
             if t.start <= offset && offset < t.end && t.started_at.is_none() {
                 t.started_at = Some(now);
             }
         }
+        let payload = Payload::Data {
+            offset,
+            len: len as u32,
+            retx,
+            round: self.round,
+        };
+        self.core.send(now, payload, len, retx, out);
     }
 
     fn complete_transfers(&mut self, now: SimTime) {
-        while let Some(front) = self.transfers.front() {
-            if self.snd_una >= front.end {
-                let t = self.transfers.pop_front().expect("checked front");
-                self.completed.push(CompletedTransfer {
-                    id: t.id,
-                    bytes: t.end - t.start,
-                    queued_at: t.queued_at,
-                    started_at: t.started_at.unwrap_or(t.queued_at),
-                    completed_at: now,
-                });
-            } else {
-                break;
-            }
+        while self
+            .transfers
+            .front()
+            .is_some_and(|t| self.snd_una >= t.end)
+        {
+            let t = self.transfers.pop_front().expect("checked front");
+            let bytes = t.end - t.start;
+            self.core
+                .complete(now, t.id, bytes, t.queued_at, t.started_at);
         }
-    }
-
-    fn arm_rto(&mut self, now: SimTime) {
-        let rto = self.rtt.rto().saturating_mul(1 << self.rto_backoff);
-        self.rto_deadline = Some(now + rto);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::HEADER_BYTES;
+    use netsim::{SimDuration, HEADER_BYTES};
 
     fn sender() -> TcpSender {
         TcpSender::new(NodeId(0), NodeId(1), FlowId(1), TcpConfig::default())
@@ -680,7 +495,7 @@ mod tests {
             out.len() >= first_burst,
             "slow start should open the window"
         );
-        assert!(s.srtt().is_some());
+        assert!(s.core.srtt().is_some());
     }
 
     #[test]
@@ -699,7 +514,7 @@ mod tests {
         assert_eq!(sent, 5000);
         let t1 = SimTime::from_millis(20);
         s.on_ack(t1, 5000, SimTime::ZERO, 0, &mut Vec::new());
-        let done = s.take_completed();
+        let done = s.core.take_completed();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, id);
         assert_eq!(done[0].bytes, 5000);
@@ -715,18 +530,18 @@ mod tests {
         let mut out = Vec::new();
         s.start_transfer(SimTime::ZERO, 100_000, None);
         s.pump(SimTime::ZERO, &mut out);
-        let w0 = s.cwnd();
+        let w0 = s.core.cwnd();
         out.clear();
 
         // First segment lost: receiver keeps ACKing 0... wait, receiver
         // would ACK cum=0 on each out-of-order arrival. Simulate 3 dupacks.
         for _ in 0..2 {
             s.on_ack(SimTime::from_millis(5), 0, SimTime::ZERO, 0, &mut out);
-            assert_eq!(s.stats().loss_events, 0);
+            assert_eq!(s.core.stats().loss_events, 0);
         }
         s.on_ack(SimTime::from_millis(6), 0, SimTime::ZERO, 0, &mut out);
-        assert_eq!(s.stats().loss_events, 1);
-        assert!(s.cwnd() < w0);
+        assert_eq!(s.core.stats().loss_events, 1);
+        assert!(s.core.cwnd() < w0);
         // The retransmission of the first segment must be in `out`.
         let retxs: Vec<_> = out.iter().filter(|p| data_range(p).2).collect();
         assert_eq!(retxs.len(), 1);
@@ -743,7 +558,7 @@ mod tests {
         for _ in 0..3 {
             s.on_ack(SimTime::from_millis(5), 0, SimTime::ZERO, 0, &mut out);
         }
-        assert_eq!(s.stats().loss_events, 1);
+        assert_eq!(s.core.stats().loss_events, 1);
         // Receiver got the retransmission: full cumulative ACK.
         s.on_ack(SimTime::from_millis(10), flight, SimTime::ZERO, 0, &mut out);
         // Next loss event is a fresh one.
@@ -751,7 +566,7 @@ mod tests {
         for _ in 0..3 {
             s.on_ack(SimTime::from_millis(15), flight, SimTime::ZERO, 0, &mut out);
         }
-        assert_eq!(s.stats().loss_events, 2);
+        assert_eq!(s.core.stats().loss_events, 2);
     }
 
     #[test]
@@ -765,8 +580,8 @@ mod tests {
         // No ACKs arrive; fire the timer past the RTO deadline.
         let deadline = s.next_wakeup(SimTime::ZERO).expect("rto armed");
         s.on_tick(deadline, &mut out);
-        assert_eq!(s.stats().rtos, 1);
-        assert_eq!(s.cwnd(), MSS_BYTES);
+        assert_eq!(s.core.stats().rtos, 1);
+        assert_eq!(s.core.cwnd(), MSS_BYTES);
         // Go-back-N restart: first segment retransmitted.
         assert!(!out.is_empty());
         let (o, _, _) = data_range(&out[0]);
@@ -870,7 +685,7 @@ mod tests {
         s.start_transfer(SimTime::ZERO, 2 * MSS_BYTES, Some(Rate::from_mbps(100.0)));
         s.pump(SimTime::ZERO, &mut out);
         // Still inside the first transfer: pacer at 1 Mbps.
-        assert_eq!(s.pacer.rate().map(|r| r.mbps()), Some(1.0));
+        assert_eq!(s.core.pacer.rate().map(|r| r.mbps()), Some(1.0));
         // ACK what's outstanding; the window opens and the stream eventually
         // crosses into the second transfer, switching the pacer.
         let mut now = SimTime::ZERO;
@@ -886,8 +701,8 @@ mod tests {
             }
         }
         assert!(s.is_idle());
-        assert_eq!(s.pacer.rate().map(|r| r.mbps()), Some(100.0));
-        assert_eq!(s.take_completed().len(), 2);
+        assert_eq!(s.core.pacer.rate().map(|r| r.mbps()), Some(100.0));
+        assert_eq!(s.core.take_completed().len(), 2);
     }
 
     #[test]
@@ -917,7 +732,7 @@ mod tests {
         // RTO fires with everything unacked.
         let deadline = s.next_wakeup(SimTime::ZERO).unwrap();
         s.on_tick(deadline, &mut out);
-        assert_eq!(s.stats().rtos, 1);
+        assert_eq!(s.core.stats().rtos, 1);
 
         // A late cumulative ACK for all pre-reset data arrives.
         out.clear();
@@ -967,7 +782,7 @@ mod tests {
                 &mut out,
             );
         }
-        assert!(s.cwnd() > 20 * MSS_BYTES);
+        assert!(s.core.cwnd() > 20 * MSS_BYTES);
         assert!(s.is_idle());
 
         // Long idle, then a new transfer: window restarts at IW.

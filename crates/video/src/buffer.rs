@@ -7,10 +7,9 @@
 //! `B_{t+1} = B_t + d_t − Δ_t`.
 
 use netsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Seconds of content buffered at the client.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlaybackBuffer {
     /// Buffered content duration.
     level: SimDuration,

@@ -14,10 +14,9 @@
 //! the spec requires), and `ot` (object type, always `v` for video here).
 
 use netsim::{Rate, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// The CMCD fields attached to a chunk request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmcdRequest {
     /// Encoded bitrate of the requested rung.
     pub bitrate: Rate,

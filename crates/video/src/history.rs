@@ -10,10 +10,9 @@
 //! (§3.1) makes bitrate decisions robust to exactly that.
 
 use netsim::{Rate, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One completed chunk download, as observed by the client.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChunkMeasurement {
     /// Chunk index within the title.
     pub index: usize,
@@ -38,7 +37,7 @@ impl ChunkMeasurement {
 }
 
 /// A rolling record of chunk download measurements.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ThroughputHistory {
     samples: Vec<ChunkMeasurement>,
 }

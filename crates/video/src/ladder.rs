@@ -6,10 +6,9 @@
 
 use crate::vmaf::VmafModel;
 use netsim::{Rate, SimError};
-use serde::{Deserialize, Serialize};
 
 /// One encoding of a title: a bitrate and its perceptual quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rung {
     /// Average encoding bitrate.
     pub bitrate: Rate,
@@ -18,7 +17,7 @@ pub struct Rung {
 }
 
 /// An ascending ladder of encodings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ladder {
     rungs: Vec<Rung>,
 }

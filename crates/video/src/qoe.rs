@@ -6,14 +6,13 @@
 //! with ≥1 rebuffer, and rebuffers per hour streamed).
 
 use netsim::{Rate, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Duration of the "initial" window for initial-VMAF accounting (§5.2:
 /// "the VMAF during the first twenty seconds of video playback").
 pub const INITIAL_VMAF_WINDOW: SimDuration = SimDuration::from_secs(20);
 
 /// Accumulates QoE events over a session and produces a [`QoeSummary`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QoeAccumulator {
     session_start: SimTime,
     playback_started: Option<SimTime>,
@@ -152,7 +151,7 @@ fn initial_window_mean(points: &[(SimDuration, f64)], window: SimDuration) -> Op
 }
 
 /// Final QoE metrics of one session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeSummary {
     /// Time from session start to first frame. `None` if playback never
     /// started.

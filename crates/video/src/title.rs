@@ -14,10 +14,9 @@
 use crate::ladder::Ladder;
 use netsim::{Rate, SimDuration};
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A title: a ladder plus its chunk data in flattened chunk-major layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Title {
     /// The encoding ladder.
     pub ladder: Ladder,

@@ -12,11 +12,9 @@
 //! time-weighted per session, so any monotone concave map preserves the
 //! orderings and relative changes the paper reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Bitrate → VMAF curve: `vmaf(r) = v_max · r / (r + r_half)` on a log-ish
 /// scale, clamped to `[0, 100]`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct VmafModel {
     /// Asymptotic score at infinite bitrate (≤ 100).
     pub v_max: f64,

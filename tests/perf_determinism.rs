@@ -8,7 +8,7 @@
 
 use sammy_repro::abtest::{draw_population, Arm, Experiment, ExperimentConfig, PopulationConfig};
 use sammy_repro::netsim::{Dumbbell, DumbbellConfig, FlowId, Packet, Payload, SimTime, Simulator};
-use sammy_repro::transport::{ReceiverEndpoint, SenderEndpoint, TcpConfig};
+use sammy_repro::transport::{CcAlgorithm, Protocol, ReceiverEndpoint, SenderEndpoint, TcpConfig};
 
 /// FNV-1a over a byte stream; stable, dependency-free fingerprint.
 #[derive(Clone, Copy)]
@@ -36,21 +36,29 @@ impl Fnv {
 /// `tcp_transfer` bench scenario. Returns (processed_events, delivered
 /// bytes/packets, drops).
 fn tcp_transfer(pace_bps: Option<f64>) -> (u64, u64, u64, u64) {
+    transfer(TcpConfig::default(), pace_bps)
+}
+
+/// A 5 MB transfer over the default dumbbell with the sender configured
+/// by `cfg` (protocol and congestion control). Returns the same tuple as
+/// [`tcp_transfer`].
+fn transfer(cfg: TcpConfig, pace_bps: Option<f64>) -> (u64, u64, u64, u64) {
+    let protocol = cfg.transport;
     let mut sim = Simulator::new();
     let db = Dumbbell::build(&mut sim, DumbbellConfig::default());
     let flow = FlowId(1);
     sim.set_endpoint(
         db.left[0],
-        Box::new(SenderEndpoint::new(
-            db.left[0],
-            db.right[0],
-            flow,
-            TcpConfig::default(),
-        )),
+        Box::new(SenderEndpoint::new(db.left[0], db.right[0], flow, cfg)),
     );
     sim.set_endpoint(
         db.right[0],
-        Box::new(ReceiverEndpoint::new(db.right[0], db.left[0], flow)),
+        Box::new(ReceiverEndpoint::with_protocol(
+            db.right[0],
+            db.left[0],
+            flow,
+            protocol,
+        )),
     );
     let req = Packet::new(
         db.right[0],
@@ -137,6 +145,52 @@ fn golden_tcp_transfer_unpaced() {
 #[test]
 fn golden_tcp_transfer_paced() {
     assert_eq!(tcp_transfer(Some(12e6)), (44_480, 5_274_040, 6_851, 0));
+}
+
+/// The same 5 MB transfer over the QUIC-style transport, unpaced.
+/// Captured before TCP and QUIC were moved onto one shared sender core:
+/// it pins packet numbering, range-ACK loss detection, PTO and the shared
+/// pacing/RTT/timeout code on the QUIC side.
+#[test]
+fn golden_quic_transfer_unpaced() {
+    let cfg = TcpConfig {
+        transport: Protocol::Quic,
+        ..TcpConfig::default()
+    };
+    assert_eq!(transfer(cfg, None), (41_287, 5_274_040, 6_851, 87));
+}
+
+/// The QUIC transfer at a 12 Mbps application pace.
+#[test]
+fn golden_quic_transfer_paced() {
+    let cfg = TcpConfig {
+        transport: Protocol::Quic,
+        ..TcpConfig::default()
+    };
+    assert_eq!(transfer(cfg, Some(12e6)), (44_480, 5_274_040, 6_851, 0));
+}
+
+/// The TCP transfer under BBR, unpaced by the application: the pacer runs
+/// at the controller's own rate, so this pins the `min(app, cc)` pace rule
+/// on its CC-only branch.
+#[test]
+fn golden_tcp_bbr_transfer_unpaced() {
+    let cfg = TcpConfig {
+        cc: CcAlgorithm::BbrLite,
+        ..TcpConfig::default()
+    };
+    assert_eq!(transfer(cfg, None), (45_080, 5_274_040, 6_851, 0));
+}
+
+/// BBR under a 12 Mbps application pace: both rates are set, so the pacer
+/// takes their minimum.
+#[test]
+fn golden_tcp_bbr_transfer_paced() {
+    let cfg = TcpConfig {
+        cc: CcAlgorithm::BbrLite,
+        ..TcpConfig::default()
+    };
+    assert_eq!(transfer(cfg, Some(12e6)), (45_970, 5_274_040, 6_851, 0));
 }
 
 /// The full A/B record stream of a tiny seed-2023 table2 experiment,
